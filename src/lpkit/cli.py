@@ -151,16 +151,32 @@ def _cmd_leaf(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.d < 1:
+        print(f"error: --d must be at least 1, got {args.d}", file=sys.stderr)
+        return 2
+    field = RATIONALS
+    if args.field is not None:
+        try:
+            field = GF(args.field)
+        except ValueError:
+            print(f"error: --field {args.field} is not a prime", file=sys.stderr)
+            return 2
     if args.family == "krawtchouk":
-        field = GF(args.field) if args.field else RATIONALS
         system, theta = gen_krawtchouk(args.d, field)
         inst = Instance(system, theta, label=f"krawtchouk-{args.d}")
     else:
-        if not args.field:
+        if args.field is None:
             print("error: gen random requires --field", file=sys.stderr)
             return 2
-        seed = args.seed if args.seed is not None else int(os.environ.get("LPKIT_SEED", "0"))
-        system = gen_random(args.d, GF(args.field), seed)
+        seed = args.seed
+        if seed is None:
+            env = os.environ.get("LPKIT_SEED", "0")
+            try:
+                seed = int(env)
+            except ValueError:
+                print(f"error: LPKIT_SEED must be an integer, got {env!r}", file=sys.stderr)
+                return 2
+        system = gen_random(args.d, field, seed)
         inst = Instance(system, None, label=f"random-d{args.d}-p{args.field}-s{seed}")
     _emit(inst, args.output)
     return 0
@@ -271,6 +287,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except LpkitError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # an internal bug must never read as exit 1 ("false")
+        print(f"error: unexpected {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 2
 
 

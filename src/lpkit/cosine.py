@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import CosineVanishes, NotAnEigenvalue, ZeroTarget
-from .exactmath import Poly, Scalar, char_poly_oracle
-from .system import TridiagonalSystem, realize_matrices
+from .errors import CosineVanishes, InternalInconsistency, NotAnEigenvalue, ZeroTarget
+from .exactmath import Poly, Scalar
+from .system import TridiagonalSystem, char_poly, cosine_recurrence, monic_polys
 
 __all__ = [
     "PolynomialSequence",
@@ -34,7 +34,6 @@ class PolynomialSequence:
     """u_0..u_{d+1} (or monic p_0..p_{d+1}) with exact coefficients."""
 
     u: tuple[Poly, ...]
-    basis_tag: str  # "as_given" | "normalized"
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,7 @@ def u_polys(sys: TridiagonalSystem) -> PolynomialSequence:
         b_prod = b_prod * x
     top = (lam * seq[sys.d] - seq[sys.d] * sys.a[sys.d] - prev * sys.sub(sys.d)) * b_prod
     seq.append(top)
-    return PolynomialSequence(tuple(seq), "as_given")
+    return PolynomialSequence(tuple(seq))
 
 
 def p_polys(sys: TridiagonalSystem) -> PolynomialSequence:
@@ -76,39 +75,25 @@ def p_polys(sys: TridiagonalSystem) -> PolynomialSequence:
     Cross-checked against u_polys via p_i = u_i * (b_0...b_{i-1}) and
     p_{d+1} = u_{d+1}.
     """
-    field = sys.field
-    lam = Poly.x(field)
-    seq = [Poly.constant(field, 1)]
-    prev = Poly(field, [])
-    for i in range(sys.d + 1):
-        weight = sys.sup(i - 1) * sys.sub(i) if i >= 1 else field.zero()
-        nxt = lam * seq[i] - seq[i] * sys.a[i] - prev * weight
-        prev = seq[i]
-        seq.append(nxt)
+    seq = monic_polys(sys)
     useq = u_polys(sys).u
-    b_prod = field.one()
+    b_prod = sys.field.one()
     for i in range(sys.d + 1):
-        assert seq[i] == useq[i] * b_prod, "monic/scaled sequences disagree"
+        if seq[i] != useq[i] * b_prod:
+            raise InternalInconsistency(f"monic and scaled sequences disagree at {i}")
         if i <= sys.d - 1:
             b_prod = b_prod * sys.b[i]
-    assert seq[sys.d + 1] == useq[sys.d + 1], "top polynomials disagree"
-    return PolynomialSequence(tuple(seq), "normalized")
-
-
-def char_poly(sys: TridiagonalSystem) -> Poly:
-    """The top recurrence polynomial u_{d+1}; checked against the generic oracle."""
-    top = u_polys(sys).u[sys.d + 1]
-    a_mat, _ = realize_matrices(sys)
-    assert top == char_poly_oracle(a_mat), "recurrence char poly disagrees with oracle"
-    return top
+    if seq[sys.d + 1] != useq[sys.d + 1]:
+        raise InternalInconsistency("top polynomials disagree")
+    return PolynomialSequence(seq)
 
 
 def cosine_sequence(sys: TridiagonalSystem, theta: Scalar) -> CosineSequence:
     """Evaluations (u_0(theta), ..., u_d(theta)); theta must be an eigenvalue."""
-    seq = u_polys(sys)
-    if not seq.u[sys.d + 1](theta).is_zero():
+    alpha, residual = cosine_recurrence(sys, theta)
+    if not residual.is_zero():
         raise NotAnEigenvalue(f"{theta} is not an eigenvalue of A")
-    return CosineSequence(tuple(u(theta) for u in seq.u[:sys.d + 1]), theta)
+    return CosineSequence(alpha, theta)
 
 
 def rescale_superdiagonal(sys: TridiagonalSystem, targets: Sequence[Scalar]) -> TridiagonalSystem:
@@ -134,14 +119,15 @@ def constant_row_sum(sys: TridiagonalSystem) -> Optional[Scalar]:
     """The common row sum theta of A when it exists, else None.
 
     When present, theta is an eigenvalue and every cosine u_i(theta) is 1;
-    both facts are asserted.
+    both facts are checked.
     """
     sums = [sys.sub(i) + sys.a[i] + sys.sup(i) for i in range(sys.d + 1)]
     if any(s != sums[0] for s in sums):
         return None
     theta = sums[0]
     alpha = cosine_sequence(sys, theta).alpha  # raises if not an eigenvalue
-    assert all(x == sys.field.one() for x in alpha), "row-sum cosines must be all ones"
+    if any(x != sys.field.one() for x in alpha):
+        raise InternalInconsistency("row-sum cosines must be all ones")
     return theta
 
 
@@ -157,5 +143,6 @@ def rebase_to_row_sum(sys: TridiagonalSystem, theta: Scalar) -> TridiagonalSyste
             raise CosineVanishes(i)
     targets = [sys.b[k] * alpha[k + 1] / alpha[k] for k in range(sys.d)]
     out = rescale_superdiagonal(sys, targets)
-    assert constant_row_sum(out) == theta, "rebased matrix must have row sum theta"
+    if constant_row_sum(out) != theta:
+        raise InternalInconsistency("rebased matrix must have row sum theta")
     return out

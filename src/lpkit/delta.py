@@ -3,7 +3,9 @@
 Vertices are 0..d; vertices i != j are adjacent exactly when
 E_i Astar E_j != 0.  The graph is symmetric (the antiautomorphism argument),
 and its shape decides everything: the pair is Q-polynomial precisely when
-the graph is a path.
+the graph is a path.  With E_i = v_i (K v_i)^T / n_i the product is
+v_i (sum_k K_k theta*_k v_i[k] v_j[k]) (K v_j)^T / (n_i n_j), so only that
+scalar form needs a zero test.
 """
 from __future__ import annotations
 
@@ -50,20 +52,19 @@ class DeltaGraph:
 
 
 def build_delta(sys: TridiagonalSystem, spec: Spectrum) -> DeltaGraph:
-    """Adjacency from exact zero tests of the products E_i Astar E_j."""
-    _, astar = realize_matrices(sys)
+    """Adjacency from exact zero tests of the forms sum_k K_k theta*_k v_i[k] v_j[k].
+
+    All forms are the entries of one Gram product V (D V^T), where row i of V
+    is v_i and D = diag(K theta*): O(d^3) for the whole graph.
+    """
     n = sys.d + 1
-    nonzero = [[False] * n for _ in range(n)]
-    for i in range(n):
-        left = spec.E[i] @ astar
-        for j in range(n):
-            if i != j:
-                nonzero[i][j] = not (left @ spec.E[j]).is_zero()
-    for i in range(n):
-        for j in range(n):
-            # symmetry is a theorem, not an input assumption; cross-check it
-            assert nonzero[i][j] == nonzero[j][i], "asymmetric adjacency"
-    return DeltaGraph(n, tuple(tuple(row) for row in nonzero))
+    weights = [kk * t for kk, t in zip(spec.k, sys.theta_star)]
+    rows = Matrix(sys.field, n, n, [x for v in spec.v for x in v])
+    cols = Matrix(sys.field, n, n, [w * v[k] for k, w in enumerate(weights) for v in spec.v])
+    gram = rows @ cols
+    adj = tuple(tuple(i != j and not gram.at(i, j).is_zero() for j in range(n))
+                for i in range(n))
+    return DeltaGraph(n, adj)
 
 
 def is_connected(g: DeltaGraph) -> bool:

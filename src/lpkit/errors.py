@@ -79,3 +79,7 @@ class GenerationFailed(LpkitError):
 
 class ParseError(LpkitError):
     pass
+
+
+class InternalInconsistency(LpkitError):
+    """An invariant that the mathematics guarantees failed: an implementation bug."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import DivisionByZero, FieldMismatch, ParseError, ShapeMismatch
 
@@ -119,12 +119,6 @@ class FieldSpec:
             return self.scalar(int(text))
         except ValueError as exc:
             raise ParseError(f"bad scalar {text!r}: {exc}") from exc
-
-    def elements(self) -> Iterable["Scalar"]:
-        """All field elements; only available for prime fields."""
-        if not self.is_prime_field:
-            raise ValueError("the rationals are not enumerable")
-        return (Scalar(self, r) for r in range(self.modulus))
 
     def __str__(self):
         return "Q" if self.kind == "rationals" else f"GF({self.modulus})"
@@ -392,9 +386,6 @@ class Matrix:
     def at(self, i: int, j: int) -> Scalar:
         return self.entries[i * self.cols + j]
 
-    def __getitem__(self, ij) -> Scalar:
-        return self.at(*ij)
-
     def row(self, i: int) -> list[Scalar]:
         return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
@@ -554,6 +545,8 @@ def char_poly_oracle(m: Matrix) -> Poly:
 
     Division-free, so it works over any ground field (including small prime
     fields), and it is entirely independent of any tridiagonal recursion.
+    No production path calls it: it is the oracle the tests compare the
+    recurrence polynomial against.
     """
     if m.rows != m.cols:
         raise ShapeMismatch("characteristic polynomial of a non-square matrix")

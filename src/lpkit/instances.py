@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (CharacteristicTooSmall, GenerationFailed, IndexOutOfRange,
-                     ParseError, ZeroScale)
-from .exactmath import GF, RATIONALS, FieldSpec, Scalar, char_poly_oracle
-from .system import TridiagonalSystem, make_system, realize_matrices, validate_system
+                     InternalInconsistency, ParseError, ZeroScale)
+from .exactmath import GF, RATIONALS, FieldSpec, Scalar
+from .system import TridiagonalSystem, char_poly, make_system, validate_system
 
 __all__ = [
     "Instance",
@@ -98,8 +98,7 @@ def _multiplicity_free(sys: TridiagonalSystem) -> bool:
     Over GF(p) this is the condition x^p = x mod charpoly, which avoids an
     exhaustive root search on every generator retry.
     """
-    a_mat, _ = realize_matrices(sys)
-    cp = char_poly_oracle(a_mat)
+    cp = char_poly(sys)
     field = sys.field
     if not field.is_prime_field:
         from .exactmath import poly_roots_in_field
@@ -193,7 +192,8 @@ def gen_random(d: int, field: FieldSpec, seed: int, max_retries: int = 50) -> Tr
                                 tuple(field.scalar(t) for t in theta_star), field)
         if validate_system(sys):
             continue
-        assert _multiplicity_free(sys), "construction must yield a split spectrum"
+        if not _multiplicity_free(sys):
+            raise InternalInconsistency("construction must yield a split spectrum")
         return sys
     raise GenerationFailed(f"no multiplicity-free instance in {max_retries} tries")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cosine import constant_row_sum, cosine_sequence, u_polys
+from .cosine import constant_row_sum
 from .errors import EqualIndices, IndexOutOfRange, PreconditionViolated
 from .exactmath import Matrix, Scalar
 from .system import Spectrum, TridiagonalSystem, dual_a, realize_matrices
@@ -66,7 +66,7 @@ def leaf_by_recurrence(sys: TridiagonalSystem, spec: Spectrum, r: int, s: int) -
     Astar is scalar and there is no adjacency at all).
     """
     _check_pair(sys, r, s)
-    alpha = cosine_sequence(sys, spec.theta[r]).alpha
+    alpha = spec.v[r]
     astar_r = dual_a(sys, spec, r)
     ts = sys.theta_star
     zero = sys.field.zero()
@@ -93,11 +93,10 @@ def leaf_by_ratio(sys: TridiagonalSystem, spec: Spectrum, r: int, s: int) -> Lea
     astar_r = dual_a(sys, spec, r)
     if astar_r == sys.theta_star[0]:
         return LeafVerdict(False, "ratio")
-    seq = u_polys(sys).u
     scale = (sys.theta_star[0] - astar_r).inverse()
     for i in range(sys.d + 1):
-        lhs = seq[i](spec.theta[s])
-        rhs = seq[i](spec.theta[r]) * (sys.theta_star[i] - astar_r) * scale
+        lhs = spec.v[s][i]
+        rhs = spec.v[r][i] * (sys.theta_star[i] - astar_r) * scale
         if lhs != rhs:
             return LeafVerdict(False, "ratio", failing_index=i)
     return LeafVerdict(True, "ratio", kappa=astar_r)

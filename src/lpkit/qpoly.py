@@ -16,7 +16,7 @@ from itertools import permutations
 from typing import Optional, Sequence
 
 from .delta import build_delta, path_order
-from .errors import NotConstant, NotQPolynomial, RouteUnavailable
+from .errors import InternalInconsistency, NotConstant, NotQPolynomial, RouteUnavailable
 from .exactmath import Matrix, Scalar, solve_affine
 from .leaf import leaf_by_ratio
 from .system import Spectrum, TridiagonalSystem, realize_matrices
@@ -112,7 +112,7 @@ def compute_delta_star(theta_star_ext: Sequence[Scalar], beta: Scalar,
     """The common value of t*^2_{i-1} - beta t*_{i-1} t*_i + t*^2_i - gamma*(t*_{i-1}+t*_i).
 
     Raises NotConstant when the extended list does not actually satisfy the
-    recurrence (a violated precondition).  Also asserts the product identity
+    recurrence (a violated precondition).  Also checks the product identity
     (t*_i - t*_{i-1})(t*_i - t*_{i+1}) = (2-beta) t*^2_i - 2 gamma* t*_i - delta*.
     """
     ext = list(theta_star_ext)
@@ -133,7 +133,8 @@ def compute_delta_star(theta_star_ext: Sequence[Scalar], beta: Scalar,
         t = ext[i + 1]
         lhs = (t - ext[i]) * (t - ext[i + 2])
         rhs = (two - beta) * t * t - two * gamma_star * t - delta_star
-        assert lhs == rhs, "product identity violated"
+        if lhs != rhs:
+            raise InternalInconsistency("product identity violated")
     return delta_star
 
 
@@ -150,7 +151,8 @@ def verify_aw2(sys: TridiagonalSystem, spec: Spectrum, witness: RecurrenceWitnes
     recon = Matrix.zero(sys.field, n, n)
     for t, e in zip(spec.theta, spec.E):
         recon = recon + e.scale(t)
-    assert recon == a_mat, "spectrum inconsistent with A"
+    if recon != a_mat:
+        raise InternalInconsistency("spectrum inconsistent with A")
     as2 = astar @ astar
     lhs = (as2 @ a_mat - (astar @ a_mat @ astar).scale(witness.beta) + a_mat @ as2
            - (a_mat @ astar + astar @ a_mat).scale(witness.gamma_star)
@@ -262,20 +264,16 @@ def leonard_ordering(sys: TridiagonalSystem, spec: Spectrum) -> tuple[int, ...]:
     order = path_order(g)
     if order is None:
         raise NotQPolynomial("the adjacency graph is not a path")
-    _, astar = realize_matrices(sys)
+    a_mat, astar = realize_matrices(sys)
     n = sys.d + 1
     for i in range(n):
         for j in range(n):
+            if i == j:
+                continue
             prod = spec.E[order[i]] @ astar @ spec.E[order[j]]
-            if abs(i - j) > 1:
-                assert prod.is_zero(), "reordered idempotents violate the zero pattern"
-            elif abs(i - j) == 1:
-                assert not prod.is_zero(), "reordered idempotents violate the nonzero pattern"
-    a_mat, _ = realize_matrices(sys)
-    for i in range(n):
-        for j in range(n):
-            if abs(i - j) > 1:
-                assert a_mat.at(i, j).is_zero()
-            elif abs(i - j) == 1:
-                assert not a_mat.at(i, j).is_zero()
+            if prod.is_zero() != (abs(i - j) > 1):
+                raise InternalInconsistency(
+                    f"reordered idempotents violate the tridiagonal pattern at ({i}, {j})")
+            if a_mat.at(i, j).is_zero() != (abs(i - j) > 1):
+                raise InternalInconsistency(f"A violates the tridiagonal pattern at ({i}, {j})")
     return order

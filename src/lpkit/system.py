@@ -6,14 +6,21 @@ theta*_i that make the companion operator Astar = diag(theta*_0..theta*_d).
 This module computes spectra, rank-one spectral projectors, the trace scalars
 a_i and a*_i, and the concrete conjugation realizing the antiautomorphism
 that fixes A and the 0-th coordinate projector.
+
+Each primitive idempotent has rank one: E_i = v_i (K v_i)^T / n_i, where v_i
+is the cosine vector of theta_i (a right eigenvector), K is the diagonal
+dagger matrix (A^T K = K A, so K v_i is a left eigenvector) and
+n_i = (K v_i)^T v_i.  The spectrum stores these factors once; everything
+downstream reads them instead of dense matrices.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import HintInvalid, IndexOutOfRange, NotMultiplicityFree
-from .exactmath import FieldSpec, Matrix, Scalar, char_poly_oracle, poly_roots_in_field, rank
+from .errors import HintInvalid, IndexOutOfRange, InternalInconsistency, NotMultiplicityFree
+from .exactmath import FieldSpec, Matrix, Poly, Scalar, poly_roots_in_field
 
 __all__ = [
     "TridiagonalSystem",
@@ -21,6 +28,9 @@ __all__ = [
     "make_system",
     "validate_system",
     "realize_matrices",
+    "monic_polys",
+    "char_poly",
+    "cosine_recurrence",
     "compute_spectrum",
     "intersection_a",
     "dual_a",
@@ -56,17 +66,34 @@ class TridiagonalSystem:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of A (pairwise distinct) with their rank-one projectors."""
+    """Eigenvalues of A (pairwise distinct) with the factors of their rank-one idempotents.
+
+    v[i] is the cosine vector (u_0(theta_i), ..., u_d(theta_i)), k the
+    diagonal of the dagger matrix K, and norm[i] = sum_k k[k] v[i][k]^2,
+    which is nonzero.  E_i = v[i] (K v[i])^T / norm[i].
+    """
 
     theta: tuple[Scalar, ...]
-    E: tuple[Matrix, ...]
+    v: tuple[tuple[Scalar, ...], ...]
+    norm: tuple[Scalar, ...]
+    k: tuple[Scalar, ...]
 
     @property
     def d(self) -> int:
         return len(self.theta) - 1
 
-    def index_of(self, theta: Scalar) -> int:
-        return self.theta.index(theta)
+    @cached_property
+    def E(self) -> tuple[Matrix, ...]:
+        """The dense primitive idempotents, built on first use."""
+        field = self.theta[0].field
+        n = len(self.theta)
+        out = []
+        for v, norm in zip(self.v, self.norm):
+            inv = norm.inverse()
+            col = [x * inv for x in v]
+            row = [kk * x for kk, x in zip(self.k, v)]
+            out.append(Matrix(field, n, n, [x * y for x in col for y in row]))
+        return tuple(out)
 
 
 def make_system(field: FieldSpec, a: Sequence, b: Sequence, c: Sequence,
@@ -119,9 +146,48 @@ def realize_matrices(sys: TridiagonalSystem) -> tuple[Matrix, Matrix]:
     return a_mat, astar
 
 
+def monic_polys(sys: TridiagonalSystem) -> tuple[Poly, ...]:
+    """The monic sequence p_0..p_{d+1}: lambda*p_i = b_{i-1}c_i p_{i-1} + a_i p_i + p_{i+1}.
+
+    p_0 = 1, and the top polynomial p_{d+1} is det(lambda I - A).  O(d^2).
+    """
+    field = sys.field
+    lam = Poly.x(field)
+    seq = [Poly.constant(field, 1)]
+    prev = Poly(field, [])
+    for i in range(sys.d + 1):
+        weight = sys.sup(i - 1) * sys.sub(i) if i >= 1 else field.zero()
+        nxt = lam * seq[i] - seq[i] * sys.a[i] - prev * weight
+        prev = seq[i]
+        seq.append(nxt)
+    return tuple(seq)
+
+
+def char_poly(sys: TridiagonalSystem) -> Poly:
+    """The monic characteristic polynomial of A, from the three-term recurrence."""
+    return monic_polys(sys)[sys.d + 1]
+
+
+def cosine_recurrence(sys: TridiagonalSystem, theta: Scalar) -> tuple[tuple[Scalar, ...], Scalar]:
+    """The cosines (u_0(theta), ..., u_d(theta)) and the final-row residual.
+
+    One pass of b_i u_{i+1} = (theta - a_i) u_i - c_i u_{i-1} from u_0 = 1.
+    The residual (theta - a_d) u_d - c_d u_{d-1} vanishes exactly when theta
+    is an eigenvalue of A; the cosines then form a right eigenvector.
+    """
+    u = [sys.field.one()]
+    prev = sys.field.zero()
+    for i in range(sys.d):
+        nxt = ((theta - sys.a[i]) * u[i] - sys.sub(i) * prev) / sys.b[i]
+        prev = u[i]
+        u.append(nxt)
+    residual = (theta - sys.a[sys.d]) * u[sys.d] - sys.sub(sys.d) * prev
+    return tuple(u), residual
+
+
 def compute_spectrum(sys: TridiagonalSystem,
                      theta_hint: Optional[Sequence[Scalar]] = None) -> Spectrum:
-    """Eigenvalues and primitive idempotents of A.
+    """Eigenvalues of A and the rank-one factors of its primitive idempotents.
 
     With a hint, each hinted value is verified to be a root of the
     characteristic polynomial and the hint order is kept.  Without a hint,
@@ -129,8 +195,7 @@ def compute_spectrum(sys: TridiagonalSystem,
     NotMultiplicityFree when A has fewer than d+1 distinct in-field
     eigenvalues.
     """
-    a_mat, _ = realize_matrices(sys)
-    charpoly = char_poly_oracle(a_mat)
+    charpoly = char_poly(sys)
     n = sys.d + 1
     if theta_hint is not None:
         theta = tuple(sys.field.scalar(t) for t in theta_hint)
@@ -148,19 +213,21 @@ def compute_spectrum(sys: TridiagonalSystem,
                 f"found {len(roots)} distinct in-field eigenvalues, need {n}")
         theta = tuple(r for r, _ in roots)
 
-    # Lagrange product: E_i = prod_{j != i} (A - theta_j I) / (theta_i - theta_j)
-    identity = Matrix.identity(sys.field, n)
-    idempotents = []
-    for i in range(n):
-        acc = identity
-        denom = sys.field.one()
-        for j in range(n):
-            if j == i:
-                continue
-            acc = acc @ (a_mat - identity.scale(theta[j]))
-            denom = denom * (theta[i] - theta[j])
-        idempotents.append(acc.scale(denom.inverse()))
-    return Spectrum(theta, tuple(idempotents))
+    k = _dagger_diagonal(sys)
+    vectors = []
+    norms = []
+    for t in theta:
+        v, residual = cosine_recurrence(sys, t)
+        if not residual.is_zero():
+            raise InternalInconsistency(f"cosine recurrence residual {residual} at eigenvalue {t}")
+        norm = sys.field.zero()
+        for kk, x in zip(k, v):
+            norm = norm + kk * x * x
+        if norm.is_zero():
+            raise InternalInconsistency(f"left and right eigenvectors of {t} are orthogonal")
+        vectors.append(v)
+        norms.append(norm)
+    return Spectrum(theta, tuple(vectors), tuple(norms), k)
 
 
 def _coordinate_projector(field: FieldSpec, n: int, i: int) -> Matrix:
@@ -175,20 +242,29 @@ def intersection_a(sys: TridiagonalSystem, i: int) -> Scalar:
         raise IndexOutOfRange(f"index {i} out of 0..{sys.d}")
     a_mat, _ = realize_matrices(sys)
     proj = _coordinate_projector(sys.field, sys.d + 1, i)
-    traced = (proj @ a_mat).trace()
-    assert traced == sys.a[i], "tr(Estar_i A) disagrees with the diagonal entry"
+    if (proj @ a_mat).trace() != sys.a[i]:
+        raise InternalInconsistency("tr(Estar_i A) disagrees with the diagonal entry")
     return sys.a[i]
 
 
 def dual_a(sys: TridiagonalSystem, spec: Spectrum, r: int) -> Scalar:
-    """The trace scalar a*_r = tr(E_r Astar); also checks E_r Astar E_r = a*_r E_r."""
+    """The trace scalar a*_r = tr(E_r Astar) = sum_k K_k theta*_k v_r[k]^2 / n_r.
+
+    Because E_r has rank one, E_r Astar E_r = a*_r E_r holds with this value.
+    """
     if not 0 <= r <= sys.d:
         raise IndexOutOfRange(f"index {r} out of 0..{sys.d}")
-    _, astar = realize_matrices(sys)
-    e_r = spec.E[r]
-    value = (e_r @ astar).trace()
-    assert (e_r @ astar @ e_r) == e_r.scale(value), "E_r Astar E_r != a*_r E_r"
-    return value
+    acc = sys.field.zero()
+    for kk, t, x in zip(spec.k, sys.theta_star, spec.v[r]):
+        acc = acc + kk * t * x * x
+    return acc / spec.norm[r]
+
+
+def _dagger_diagonal(sys: TridiagonalSystem) -> tuple[Scalar, ...]:
+    diag = [sys.field.one()]
+    for h in range(sys.d):
+        diag.append(diag[-1] * sys.b[h] / sys.c[h])
+    return tuple(diag)
 
 
 def dagger_matrix(sys: TridiagonalSystem) -> Matrix:
@@ -200,10 +276,7 @@ def dagger_matrix(sys: TridiagonalSystem) -> Matrix:
     antiautomorphism fixing both generators of the full matrix algebra is
     that unique one.
     """
-    diag = [sys.field.one()]
-    for h in range(sys.d):
-        diag.append(diag[-1] * sys.b[h] / sys.c[h])
-    return Matrix.diagonal(sys.field, diag)
+    return Matrix.diagonal(sys.field, list(_dagger_diagonal(sys)))
 
 
 def dagger(sys: TridiagonalSystem, x: Matrix) -> Matrix:

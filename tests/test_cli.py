@@ -1,6 +1,9 @@
 """Exit-code contract and output of every CLI subcommand."""
 from __future__ import annotations
 
+import ast
+import pathlib
+
 import pytest
 
 from lpkit.cli import main
@@ -128,3 +131,45 @@ def test_parse_error(tmp_path):
     bad = tmp_path / "float.lp"
     bad.write_text("field rationals\nd 2\na 0.5 0 0\nb 2 1\nc 1 2\ntheta_star 2 0 -2\n")
     assert main(["check", str(bad)]) == 2
+
+
+def test_gen_random_non_prime_field(capsys):
+    assert main(["gen", "random", "--d", "3", "--field", "100"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not a prime" in err
+
+
+def test_gen_random_non_integer_env_seed(monkeypatch, capsys):
+    monkeypatch.setenv("LPKIT_SEED", "abc")
+    assert main(["gen", "random", "--d", "3", "--field", "101"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "LPKIT_SEED" in err
+
+
+@pytest.mark.parametrize("d", ["0", "-2"])
+def test_gen_krawtchouk_rejects_small_d(tmp_path, capsys, d):
+    out = tmp_path / "k.lp"
+    assert main(["gen", "krawtchouk", "--d", d, "-o", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_unexpected_exception_exits_2(k3_file, monkeypatch, capsys):
+    import lpkit.cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(lpkit.cli, "build_delta", broken)
+    assert main(["delta", k3_file]) == 2
+    assert capsys.readouterr().err == "error: unexpected RuntimeError: boom\n"
+
+
+def test_source_has_no_assert_statements():
+    # invariants raise InternalInconsistency, which survives python -O
+    paths = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "lpkit").glob("*.py"))
+    assert paths
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not found, f"{path.name}: assert on lines {found}"

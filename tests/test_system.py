@@ -185,3 +185,19 @@ def test_spectral_reconstruction(random_corpus):
         for t, e in zip(spec.theta, spec.E):
             recon = recon + e.scale(t)
         assert recon == a_mat
+
+
+def test_spectrum_checks_raise_internal_inconsistency(monkeypatch):
+    import lpkit.system
+    from lpkit.errors import InternalInconsistency
+    sys_ = _k2()
+    real = lpkit.system.cosine_recurrence
+    monkeypatch.setattr(lpkit.system, "cosine_recurrence",
+                        lambda s, t: (real(s, t)[0], RATIONALS.one()))
+    with pytest.raises(InternalInconsistency, match="residual"):
+        compute_spectrum(sys_)
+    monkeypatch.setattr(lpkit.system, "cosine_recurrence", real)
+    monkeypatch.setattr(lpkit.system, "_dagger_diagonal",
+                        lambda s: (RATIONALS.zero(),) * (s.d + 1))
+    with pytest.raises(InternalInconsistency, match="orthogonal"):
+        compute_spectrum(sys_)
