@@ -81,5 +81,9 @@ class ParseError(LpkitError):
     pass
 
 
+class NonDecimalScalar(ParseError):
+    """A scalar that int() accepts but that is not ASCII [+-]N or [+-]N/M."""
+
+
 class InternalInconsistency(LpkitError):
     """An invariant that the mathematics guarantees failed: an implementation bug."""

@@ -7,11 +7,13 @@ input is rejected at parse time.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import DivisionByZero, FieldMismatch, ParseError, ShapeMismatch
+from .errors import DivisionByZero, FieldMismatch, NonDecimalScalar, ParseError, ShapeMismatch
+from .modular import is_prime, prime_field_roots, rational_roots
 
 __all__ = [
     "FieldSpec",
@@ -26,29 +28,7 @@ __all__ = [
     "poly_roots_in_field",
 ]
 
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+_DECIMAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -63,7 +43,7 @@ class FieldSpec:
             if self.modulus is not None:
                 raise ValueError("rationals carry no modulus")
         elif self.kind == "prime":
-            if self.modulus is None or not _is_prime(self.modulus):
+            if self.modulus is None or not is_prime(self.modulus):
                 raise ValueError(f"modulus {self.modulus!r} is not prime")
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
@@ -98,7 +78,7 @@ class FieldSpec:
         return self.scalar(1)
 
     def parse_scalar(self, text: str) -> "Scalar":
-        """Parse a decimal integer or "num/den" string.  Floats are rejected."""
+        """Parse an ASCII decimal "[+-]N" or "[+-]N/M" string.  Floats are rejected."""
         text = text.strip()
         if not text:
             raise ParseError("empty scalar")
@@ -108,17 +88,20 @@ class FieldSpec:
             if "/" in text:
                 num_s, den_s = text.split("/")
                 num, den = int(num_s), int(den_s)
-                if den == 0:
-                    raise ParseError(f"zero denominator in {text!r}")
-                if self.is_prime_field:
-                    den_r = den % self.modulus
-                    if den_r == 0:
-                        raise ParseError(f"denominator vanishes mod {self.modulus}: {text!r}")
-                    return self.scalar(num * pow(den_r, -1, self.modulus))
-                return Scalar(self, Fraction(num, den))
-            return self.scalar(int(text))
+            else:
+                num, den = int(text), 1
         except ValueError as exc:
             raise ParseError(f"bad scalar {text!r}: {exc}") from exc
+        if den == 0:
+            raise ParseError(f"zero denominator in {text!r}")
+        if self.is_prime_field and den % self.modulus == 0:
+            raise ParseError(f"denominator vanishes mod {self.modulus}: {text!r}")
+        if not _DECIMAL.fullmatch(text):
+            # int() also takes underscores and non-ASCII digits
+            raise NonDecimalScalar(f"bad scalar {text!r}: expected ASCII [+-]N or [+-]N/M")
+        if self.is_prime_field:
+            return self.scalar(num * pow(den % self.modulus, -1, self.modulus))
+        return Scalar(self, Fraction(num, den))
 
     def __str__(self):
         return "Q" if self.kind == "rationals" else f"GF({self.modulus})"
@@ -588,25 +571,13 @@ def char_poly_oracle(m: Matrix) -> Poly:
     return Poly(field, list(reversed(coeffs_hi_first)))
 
 
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
 def poly_roots_in_field(p: Poly, field: Optional[FieldSpec] = None) -> list[tuple[Scalar, int]]:
     """All roots of p lying in the ground field, with multiplicities.
 
-    Over the rationals: rational-root search on the integer-scaled polynomial
-    with exact verification.  Over GF(p): exhaustive evaluation.  Roots are
-    returned in canonical order.
+    Over GF(p): gcd with x^p - x and equal-degree splitting.  Over the
+    rationals: roots modulo a prime, Hensel-lifted and rebuilt by rational
+    reconstruction.  Either way each root's multiplicity comes from exact
+    deflation, and roots are returned in canonical order.
     """
     if field is None:
         field = p.field
@@ -614,48 +585,11 @@ def poly_roots_in_field(p: Poly, field: Optional[FieldSpec] = None) -> list[tupl
         raise FieldMismatch("polynomial field does not match requested field")
     if p.is_zero():
         raise ValueError("the zero polynomial has no well-defined root set")
-    roots: list[tuple[Scalar, int]] = []
-
+    coeffs = [c.value for c in p.coeffs]
     if field.is_prime_field:
-        work = p
-        for r in range(field.modulus):
-            point = Scalar(field, r)
-            mult = 0
-            while not work.is_zero() and work.degree >= 1 and work(point).is_zero():
-                work = work.deflate(point)
-                mult += 1
-            if mult:
-                roots.append((point, mult))
-            if work.degree < 1:
-                break
-        return roots
-
-    # Rationals: factor out x^k, then candidate search p/q with p | a0, q | an.
-    work = p
-    zero_mult = 0
-    while not work.coeff(0):
-        work = Poly(field, work.coeffs[1:])
-        zero_mult += 1
-    if zero_mult:
-        roots.append((field.zero(), zero_mult))
-    if work.degree >= 1:
-        from math import lcm
-
-        denom_lcm = lcm(*(c.value.denominator for c in work.coeffs))
-        ints = [c.value.numerator * (denom_lcm // c.value.denominator) for c in work.coeffs]
-        a0, an = ints[0], ints[-1]
-        candidates = set()
-        for num in _int_divisors(a0):
-            for den in _int_divisors(an):
-                candidates.add(Fraction(num, den))
-                candidates.add(Fraction(-num, den))
-        for cand in sorted(candidates):
-            point = field.scalar(cand)
-            mult = 0
-            while work.degree >= 1 and work(point).is_zero():
-                work = work.deflate(point)
-                mult += 1
-            if mult:
-                roots.append((point, mult))
+        found = prime_field_roots(coeffs, field.modulus)
+    else:
+        found = rational_roots(coeffs)
+    roots = [(Scalar(field, r), mult) for r, mult in found]
     roots.sort(key=lambda rm: rm[0].sort_key())
     return roots

@@ -12,17 +12,20 @@ The file format is line-oriented structured text with named fields:
     theta_star 3 1 -1 -3
     theta 3 1 -1 -3            (optional eigenvalue hint)
 
-Scalars are decimal integers or "num/den" strings; floats are rejected.
+Scalars are ASCII decimal integers or "num/den" strings; floats are rejected,
+and each key appears at most once.
 """
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (CharacteristicTooSmall, GenerationFailed, IndexOutOfRange,
-                     InternalInconsistency, ParseError, ZeroScale)
-from .exactmath import GF, RATIONALS, FieldSpec, Scalar
+                     InternalInconsistency, NonDecimalScalar, ParseError, ZeroScale)
+from .exactmath import GF, RATIONALS, FieldSpec, Scalar, poly_roots_in_field
+from .modular import powmod
 from .system import TridiagonalSystem, char_poly, make_system, validate_system
 
 __all__ = [
@@ -95,27 +98,16 @@ def mutate_theta_star(sys: TridiagonalSystem, k: int, value) -> TridiagonalSyste
 def _multiplicity_free(sys: TridiagonalSystem) -> bool:
     """True when A splits into d+1 distinct in-field eigenvalues.
 
-    Over GF(p) this is the condition x^p = x mod charpoly, which avoids an
-    exhaustive root search on every generator retry.
+    Over GF(p) the characteristic polynomial f is squarefree by
+    construction, so it splits exactly when x^p = x mod f; this avoids a
+    root search on every generator retry.
     """
     cp = char_poly(sys)
     field = sys.field
     if not field.is_prime_field:
-        from .exactmath import poly_roots_in_field
         return len(poly_roots_in_field(cp)) == sys.d + 1
-    # compute x^p mod cp by square-and-multiply on coefficient vectors
     p = field.modulus
-    from .exactmath import Poly
-    x = Poly.x(field)
-    result = Poly.constant(field, 1)
-    base = x
-    e = p
-    while e:
-        if e & 1:
-            result = (result * base).divmod(cp)[1]
-        base = (base * base).divmod(cp)[1]
-        e >>= 1
-    return result == x
+    return powmod([0, 1], p, [c.value for c in cp.coeffs], p) == [0, 1]
 
 
 def _distinct_residues(rng: random.Random, p: int, count: int) -> list[int]:
@@ -218,18 +210,32 @@ def serialize_instance(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _strict_int(text: str, lineno: int) -> int:
+    value = int(text)
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ParseError(f"line {lineno}: expected an ASCII integer, got {text!r}")
+    return value
+
+
 def parse_instance(text: str) -> Instance:
-    """Parse the text format; raises ParseError with line diagnostics."""
+    """Parse the text format; raises ParseError with line diagnostics.
+
+    Every key appears at most once; scalars are ASCII [+-]N or [+-]N/M.
+    """
     field: Optional[FieldSpec] = None
     d: Optional[int] = None
     label = ""
-    vectors: dict[str, list[str]] = {}
+    vectors: dict[str, tuple[int, list[str]]] = {}
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, _, rest = line.partition(" ")
         rest = rest.strip()
+        if key in seen:
+            raise ParseError(f"line {lineno}: duplicate key {key!r}")
+        seen.add(key)
         try:
             if key == "field":
                 parts = rest.split()
@@ -237,17 +243,17 @@ def parse_instance(text: str) -> Instance:
                     field = RATIONALS
                 elif len(parts) == 2 and parts[0] == "prime":
                     try:
-                        field = GF(int(parts[1]))
+                        field = GF(_strict_int(parts[1], lineno))
                     except ValueError as exc:
                         raise ParseError(f"line {lineno}: {exc}") from exc
                 else:
                     raise ParseError(f"line {lineno}: bad field descriptor {rest!r}")
             elif key == "d":
-                d = int(rest)
+                d = _strict_int(rest, lineno)
             elif key == "label":
                 label = rest
             elif key in ("a", "b", "c", "theta_star", "theta"):
-                vectors[key] = rest.split()
+                vectors[key] = (lineno, rest.split())
             else:
                 raise ParseError(f"line {lineno}: unknown key {key!r}")
         except ParseError:
@@ -261,24 +267,26 @@ def parse_instance(text: str) -> Instance:
     for key, want in (("a", d + 1), ("b", d), ("c", d), ("theta_star", d + 1)):
         if key not in vectors:
             raise ParseError(f"missing '{key}' line")
-        if len(vectors[key]) != want:
-            raise ParseError(f"field '{key}' has {len(vectors[key])} entries, expected {want}")
+        if len(vectors[key][1]) != want:
+            raise ParseError(f"field '{key}' has {len(vectors[key][1])} entries, expected {want}")
+
+    def scalars(key: str) -> tuple[Scalar, ...]:
+        lineno, tokens = vectors[key]
+        try:
+            return tuple(field.parse_scalar(x) for x in tokens)
+        except NonDecimalScalar as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
+
     try:
-        sys = TridiagonalSystem(
-            d,
-            tuple(field.parse_scalar(x) for x in vectors["a"]),
-            tuple(field.parse_scalar(x) for x in vectors["b"]),
-            tuple(field.parse_scalar(x) for x in vectors["c"]),
-            tuple(field.parse_scalar(x) for x in vectors["theta_star"]),
-            field,
-        )
+        sys = TridiagonalSystem(d, scalars("a"), scalars("b"), scalars("c"),
+                                scalars("theta_star"), field)
     except ParseError as exc:
         raise ParseError(f"bad scalar value: {exc}") from exc
     theta = None
     if "theta" in vectors:
-        if len(vectors["theta"]) != d + 1:
-            raise ParseError(f"field 'theta' has {len(vectors['theta'])} entries, expected {d + 1}")
-        theta = tuple(field.parse_scalar(x) for x in vectors["theta"])
+        if len(vectors["theta"][1]) != d + 1:
+            raise ParseError(f"field 'theta' has {len(vectors['theta'][1])} entries, expected {d + 1}")
+        theta = scalars("theta")
     violations = validate_system(sys)
     if violations:
         raise ParseError("invalid system: " + "; ".join(violations))

@@ -1,0 +1,363 @@
+"""Algorithms on plain integers: primality, and root finding over GF(p) and Q.
+
+Polynomials over GF(p) are residue lists: ints in [0, p), low degree first,
+with no trailing zeros (the zero polynomial is []).  Polynomials over Q are
+lists of Fractions.  Nothing here knows about ``Scalar`` or ``Poly``; the
+wrapper costs about 15x per GF(p) multiply-add, so ``exactmath`` converts
+once and calls these functions.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, isqrt, lcm
+from typing import Optional
+
+from .errors import InternalInconsistency
+
+__all__ = ["is_prime", "powmod", "prime_field_roots", "rational_roots"]
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Baillie-PSW: strong probable prime to the first twelve prime bases and strong Lucas.
+
+    The Miller-Rabin part alone is deterministic for n < 3.3e24; the strong
+    Lucas step rejects the strong pseudoprimes to those bases above that
+    bound (no composite is known to pass both tests).
+    """
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return _is_strong_lucas_prp(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test for odd n > 37 with Selfridge's parameters.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4.  With n + 1 = q 2^s, n passes when U_q = 0 or
+    V_{q 2^r} = 0 for some 0 <= r < s (all mod n).
+    """
+    if isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists for a square
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False  # gcd(D, n) > 1 and n > |D|
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    q, s = n + 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+
+    def half(x: int) -> int:
+        return (x if x % 2 == 0 else x + n) // 2 % n
+
+    u, v, qk = 1, 1, Q % n  # U_1, V_1, Q^1 with P = 1
+    for bit in bin(q)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(D * u + v), qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _divmod_residues(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a nonzero b."""
+    rem = list(a)
+    db = len(b) - 1
+    if len(rem) <= db:
+        return [], rem
+    inv = pow(b[-1], -1, p)
+    quo = [0] * (len(rem) - db)
+    for k in range(len(quo) - 1, -1, -1):
+        q = rem[k + db] * inv % p
+        quo[k] = q
+        if q:
+            for j in range(db):
+                rem[k + j] = (rem[k + j] - q * b[j]) % p
+    return quo, _trim(rem[:db])
+
+
+def _mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+    """a * b mod f."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _divmod_residues([c % p for c in out], f, p)[1]
+
+
+def powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
+    """base^e mod f, by square-and-multiply."""
+    result = _divmod_residues([1], f, p)[1]
+    base = _divmod_residues(base, f, p)[1]
+    while e:
+        if e & 1:
+            result = _mulmod(result, base, f, p)
+        base = _mulmod(base, base, f, p)
+        e >>= 1
+    return result
+
+
+def _sub_residues(a: list[int], b: list[int], p: int) -> list[int]:
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _trim([(x - y) % p for x, y in zip(a, b)])
+
+
+def _gcd_residues(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd of a and b (the zero polynomial when both are zero)."""
+    while b:
+        a, b = b, _divmod_residues(a, b, p)[1]
+    if not a:
+        return a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _deflate_residues(a: list[int], r: int, p: int) -> tuple[list[int], int]:
+    """Synthetic division by x - r: the quotient and the remainder a(r)."""
+    quo = [0] * (len(a) - 1)
+    acc = 0
+    for k in range(len(a) - 1, 0, -1):
+        acc = (acc * r + a[k]) % p
+        quo[k - 1] = acc
+    return quo, (acc * r + a[0]) % p
+
+
+def _split_linear(g: list[int], shift: int, p: int, roots: list[int]) -> None:
+    """Append the roots of g, a monic product of distinct linear factors over GF(p).
+
+    Equal-degree splitting with deterministic shifts a = shift, shift+1, ...:
+    gcd(g, (x + a)^((p-1)/2) - 1) collects the roots r with r + a a nonzero
+    square.  The factor x + a is divided out first, so every residue is
+    reached by the time a has run through GF(p); for p = 2 that alone
+    finds the roots.
+    """
+    while len(g) > 2:
+        quo, value = _deflate_residues(g, -shift % p, p)
+        if not value:
+            roots.append(-shift % p)
+            g = quo
+            continue
+        h = _gcd_residues(g, _sub_residues(powmod([shift % p, 1], (p - 1) // 2, g, p), [1], p), p)
+        shift += 1
+        if 2 <= len(h) < len(g):
+            _split_linear(h, shift, p, roots)
+            g = _divmod_residues(g, h, p)[0]
+    if len(g) == 2:
+        roots.append(-g[0] % p)
+
+
+def _roots_mod_p(f: list[int], p: int) -> list[int]:
+    """The distinct roots in GF(p) of a nonzero residue list f, ascending.
+
+    gcd(f, x^p - x) is the product of the distinct linear factors of f;
+    equal-degree splitting takes it apart.  O(d^2 log p) operations mod p.
+    """
+    if len(f) < 2:
+        return []
+    g = _gcd_residues(f, _sub_residues(powmod([0, 1], p, f, p), [0, 1], p), p)
+    roots: list[int] = []
+    _split_linear(g, 0, p, roots)
+    return sorted(roots)
+
+
+def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """A gcd over Q of two nonzero integer polynomials, by the primitive remainder sequence."""
+    def primitive(c: list[int]) -> list[int]:
+        g = gcd(*c)
+        return [x // g for x in c]
+
+    a, b = primitive(a), primitive(b)
+    while len(b) > 1:
+        rem = list(a)
+        lead = b[-1]
+        for k in range(len(a) - len(b), -1, -1):  # pseudo-division by b
+            q = rem[k + len(b) - 1]
+            rem = [x * lead for x in rem]
+            for j, y in enumerate(b):
+                rem[k + j] -= q * y
+        rem = _trim(rem[:len(b) - 1])
+        if not rem:
+            return b
+        a, b = b, primitive(rem)
+    return [1]
+
+
+def _int_poly_divexact(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials where b is primitive and divides a over Q."""
+    rem = list(a)
+    quo = [0] * (len(a) - len(b) + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        q, r = divmod(rem[k + len(b) - 1], b[-1])
+        if r:
+            raise InternalInconsistency("inexact polynomial division")
+        quo[k] = q
+        for j, y in enumerate(b):
+            rem[k + j] -= q * y
+    if any(rem):
+        raise InternalInconsistency("inexact polynomial division")
+    return quo
+
+
+def _rational_reconstruction(r: int, m: int, bound_num: int, bound_den: int) -> Optional[Fraction]:
+    """The n/d with n = d r mod m, |n| <= bound_num and 0 < d <= bound_den, if one exists.
+
+    Unique when 2 bound_num bound_den < m (extended Euclid on m and r).
+    """
+    r0, r1, t0, t1 = m, r % m, 0, 1
+    while r1 > bound_num:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound_den or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _deflate_fraction(a: list[Fraction], r: Fraction) -> Optional[list[Fraction]]:
+    """a / (x - r) when r is a root of a, else None."""
+    quo = [Fraction(0)] * (len(a) - 1)
+    acc = Fraction(0)
+    for k in range(len(a) - 1, 0, -1):
+        acc = acc * r + a[k]
+        quo[k - 1] = acc
+    return quo if acc * r + a[0] == 0 else None
+
+
+def _rational_candidates(f: list[Fraction]) -> list[Fraction]:
+    """Candidate nonzero rational roots of f (f(0) != 0, degree >= 1).
+
+    Roots of the squarefree part S, an integer polynomial, modulo the first
+    prime p >= 2^20 that keeps S squarefree and of full degree; each root is
+    Newton-lifted until p^k > 2 |S(0)| |lc(S)| and rebuilt by rational
+    reconstruction.  Every rational root of f is among the candidates; the
+    caller confirms each one by exact deflation.
+    """
+    den = lcm(*(c.denominator for c in f))
+    big = [c.numerator * (den // c.denominator) for c in f]
+    deriv = [k * c for k, c in enumerate(big)][1:]
+    sq = _int_poly_divexact(big, _int_poly_gcd(big, deriv))
+    dsq = [k * c for k, c in enumerate(sq)][1:]
+    p = 1 << 20
+    while True:
+        if is_prime(p) and sq[-1] % p:
+            low = [c % p for c in sq]
+            if len(_gcd_residues(low, _trim([c % p for c in dsq]), p)) == 1:
+                break
+        p += 1
+    bound_num, bound_den = abs(sq[0]), abs(sq[-1])
+    out = []
+    for r in _roots_mod_p(low, p):
+        m = p
+        while m <= 2 * bound_num * bound_den:
+            m *= m
+            value = dvalue = 0
+            for c in reversed(sq):
+                value = (value * r + c) % m
+            for c in reversed(dsq):
+                dvalue = (dvalue * r + c) % m
+            r = (r - value * pow(dvalue, -1, m)) % m
+        cand = _rational_reconstruction(r, m, bound_num, bound_den)
+        if cand is not None:
+            out.append(cand)
+    return out
+
+
+def prime_field_roots(f: list[int], p: int) -> list[tuple[int, int]]:
+    """The roots of a nonzero residue list f in GF(p), ascending, with multiplicities.
+
+    Multiplicities come from exact deflation of f.
+    """
+    out = []
+    for r in _roots_mod_p(f, p):
+        mult = 0
+        while len(f) > 1:
+            quo, value = _deflate_residues(f, r, p)
+            if value:
+                break
+            f = quo
+            mult += 1
+        out.append((r, mult))
+    return out
+
+
+def rational_roots(f: list[Fraction]) -> list[tuple[Fraction, int]]:
+    """The rational roots of a nonzero polynomial f over Q, with multiplicities.
+
+    Zero is split off as a power of x; every other candidate is confirmed,
+    and its multiplicity found, by exact deflation of f.
+    """
+    out = []
+    zero_mult = 0
+    while f[0] == 0:
+        f = f[1:]
+        zero_mult += 1
+    if zero_mult:
+        out.append((Fraction(0), zero_mult))
+    if len(f) > 1:
+        for cand in _rational_candidates(f):
+            mult = 0
+            while len(f) > 1:
+                quo = _deflate_fraction(f, cand)
+                if quo is None:
+                    break
+                f = quo
+                mult += 1
+            if mult:
+                out.append((cand, mult))
+    return out

@@ -1,0 +1,76 @@
+"""Exhaustive root searches, kept as oracles for ``exactmath.poly_roots_in_field``.
+
+Over GF(p) every residue is evaluated; over the rationals every p/q with p
+dividing the constant term and q the leading coefficient of the
+integer-scaled polynomial is tried.  Both cost time exponential in the size
+of the input, so the tests run them on small fields and small coefficients
+only and compare the production finder against them exactly.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+
+from lpkit.exactmath import Poly, Scalar
+
+
+def _int_divisors(n: int) -> list[int]:
+    n = abs(n)
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
+
+
+def scan_roots(p: Poly) -> list[tuple[Scalar, int]]:
+    """Roots over GF(p) by evaluating every residue, with multiplicities."""
+    field = p.field
+    roots = []
+    work = p
+    for r in range(field.modulus):
+        point = Scalar(field, r)
+        mult = 0
+        while work.degree >= 1 and work(point).is_zero():
+            work = work.deflate(point)
+            mult += 1
+        if mult:
+            roots.append((point, mult))
+        if work.degree < 1:
+            break
+    return roots
+
+
+def divisor_roots(p: Poly) -> list[tuple[Scalar, int]]:
+    """Rational roots by the rational-root test on the integer-scaled polynomial."""
+    field = p.field
+    roots = []
+    work = p
+    zero_mult = 0
+    while not work.coeff(0):
+        work = Poly(field, work.coeffs[1:])
+        zero_mult += 1
+    if zero_mult:
+        roots.append((field.zero(), zero_mult))
+    if work.degree >= 1:
+        denom_lcm = lcm(*(c.value.denominator for c in work.coeffs))
+        ints = [c.value.numerator * (denom_lcm // c.value.denominator) for c in work.coeffs]
+        candidates = set()
+        for num in _int_divisors(ints[0]):
+            for den in _int_divisors(ints[-1]):
+                candidates.add(Fraction(num, den))
+                candidates.add(Fraction(-num, den))
+        for cand in sorted(candidates):
+            point = field.scalar(cand)
+            mult = 0
+            while work.degree >= 1 and work(point).is_zero():
+                work = work.deflate(point)
+                mult += 1
+            if mult:
+                roots.append((point, mult))
+    roots.sort(key=lambda rm: rm[0].sort_key())
+    return roots

@@ -173,3 +173,30 @@ def test_source_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not found, f"{path.name}: assert on lines {found}"
+
+
+def test_pseudoprime_modulus_is_rejected(tmp_path, capsys):
+    n = 3317044064679887385961981  # strong pseudoprime to every prime base up to 37
+    path = tmp_path / "pseudo.lp"
+    path.write_text(f"field prime {n}\nd 1\na 0 0\nb 1\nc 1\ntheta_star 0 1\n")
+    assert main(["check", str(path)]) == 2
+    assert "line 1" in capsys.readouterr().err
+    assert main(["gen", "random", "--d", "3", "--field", str(n)]) == 2
+    assert "not a prime" in capsys.readouterr().err
+
+
+def test_parse_rejects_duplicate_key(tmp_path, capsys):
+    path = tmp_path / "dup.lp"
+    path.write_text("field rationals\nd 2\na 0 0 0\na 1 1 1\nb 2 1\nc 1 2\n"
+                    "theta_star 2 0 -2\n")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "error: ParseError: line 4: duplicate key 'a'\n"
+
+
+@pytest.mark.parametrize("token", ["1_0", "١"])  # underscore; Arabic-Indic one
+def test_parse_rejects_non_ascii_decimal_scalar(tmp_path, capsys, token):
+    path = tmp_path / "scalar.lp"
+    path.write_text(f"field rationals\nd 1\na 0 0\nb 1\nc 1\ntheta_star 0 {token}\n")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "line 6" in err and repr(token) in err

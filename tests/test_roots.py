@@ -1,0 +1,159 @@
+"""Root finding and primality: exact agreement with the exhaustive oracles, and time gates."""
+from __future__ import annotations
+
+import signal
+import time
+from contextlib import contextmanager
+from fractions import Fraction
+
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from lpkit.cli import main
+from lpkit.exactmath import GF, RATIONALS, Poly, poly_roots_in_field
+from lpkit.instances import affine_transform, gen_krawtchouk, gen_random
+from lpkit.modular import is_prime
+from lpkit.system import compute_spectrum
+from root_oracles import divisor_roots, scan_roots
+
+PSEUDOPRIME = 3317044064679887385961981  # 1287836182261 * 2575672364521
+M61 = 2**61 - 1
+M127 = 2**127 - 1
+
+
+def _poly(field, coeffs):
+    return Poly(field, [field.scalar(c) for c in coeffs])
+
+
+def _product(field, lead, roots, extra):
+    """lead * prod (x - r) * extra, coefficients low degree first."""
+    poly = _poly(field, [lead])
+    for r in roots:
+        poly = poly * _poly(field, [-r, 1])
+    return poly * _poly(field, extra)
+
+
+@st.composite
+def _prime_field_polys(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 101, 10007]))
+    roots = draw(st.lists(st.integers(0, min(p - 1, 12)) | st.integers(0, p - 1), max_size=6))
+    extra = draw(st.lists(st.integers(0, p - 1), max_size=4)) + [draw(st.integers(1, p - 1))]
+    return _product(GF(p), draw(st.integers(1, p - 1)), roots, extra)
+
+
+@st.composite
+def _rational_polys(draw):
+    small = st.fractions(min_value=-8, max_value=8, max_denominator=4)
+    roots = draw(st.lists(small, max_size=4))
+    roots += roots[:draw(st.integers(0, 2))]  # repeated roots
+    extra = _poly(RATIONALS, [1])
+    for _ in range(draw(st.integers(0, 2))):
+        # x^2 + b x + c with b^2 < 4c has no real, let alone rational, roots
+        b = draw(st.integers(-3, 3))
+        c = draw(st.integers(b * b // 4 + 1, 6))
+        extra = extra * _poly(RATIONALS, [c, b, draw(st.integers(1, 3))])
+    lead = draw(st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool))
+    return _product(RATIONALS, lead, roots, list(extra.coeffs))
+
+
+# A hanging finder would make every shrinking attempt wait out the wall
+# bound, so these properties report the first failing example unshrunk.
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+@contextmanager
+def _wall_bound(seconds):
+    """Raise TimeoutError in the main thread once the wall time exceeds the bound."""
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < seconds
+
+
+@settings(max_examples=60, deadline=None, phases=_NO_SHRINK)
+@given(_prime_field_polys())
+def test_prime_field_roots_match_the_exhaustive_scan(poly):
+    with _wall_bound(5):
+        found = poly_roots_in_field(poly)
+    assert found == scan_roots(poly)
+
+
+@settings(max_examples=60, deadline=None, phases=_NO_SHRINK)
+@given(_rational_polys())
+def test_rational_roots_match_the_divisor_search(poly):
+    with _wall_bound(5):
+        found = poly_roots_in_field(poly)
+    assert found == divisor_roots(poly)
+
+
+def test_roots_cover_zero_repeated_and_fractional_cases():
+    x3 = _product(RATIONALS, Fraction(2, 3), [0, 0, Fraction(-1, 2), Fraction(-1, 2), 7], [1, 0, 1])
+    gf2 = _product(GF(2), 1, [0, 1, 1], [1, 1, 1])  # x^2 + x + 1 is irreducible over GF(2)
+    gf3 = _product(GF(3), 2, [2, 2, 0], [1, 0, 1])
+    with _wall_bound(5):
+        found = [poly_roots_in_field(poly) for poly in (x3, gf2, gf3)]
+    assert [(r.value, m) for r, m in found[0]] == [(Fraction(-1, 2), 2), (0, 2), (7, 1)]
+    assert found[0] == divisor_roots(x3)
+    assert [(r.value, m) for r, m in found[1]] == [(0, 1), (1, 2)]
+    assert found[2] == scan_roots(gf3)
+
+
+def test_rational_root_needs_the_full_lifting_bound():
+    # |n| d = 2^80 (1 + o(1)), so the lift must pass p^4 for p = 2^20 + 7
+    a, b = 1099526307891, 1099526307887
+    poly = _product(RATIONALS, a, [Fraction(b, a)], [1, 0, 1])
+    with _wall_bound(5):
+        found = poly_roots_in_field(poly)
+    assert [(r.value, m) for r, m in found] == [(Fraction(b, a), 1)]
+
+
+def test_primality_is_baillie_psw():
+    assert not is_prime(PSEUDOPRIME)  # a strong pseudoprime to every base up to 37
+    assert is_prime(M61) and is_prime(M127)
+    assert not is_prime(M127 + 2) and not is_prime(M61 * M127)
+    trial = [n for n in range(3000) if n > 1 and all(n % k for k in range(2, int(n**0.5) + 1))]
+    assert [n for n in range(3000) if is_prime(n)] == trial
+    # strong Lucas pseudoprimes, squares and Carmichael numbers are composite
+    for n in (5459, 5777, 10877, 16109, 18971, 561, 41041, 1046527**2):
+        assert not is_prime(n)
+
+
+def test_gate_check_over_q_with_a_31_digit_entry(tmp_path, capsys):
+    # eigenvalues M and 2, so the constant term of the char poly is 2M
+    m = 10**30 + 57
+    path = tmp_path / "big.lp"
+    path.write_text(f"field rationals\nd 1\na {m + 2} 0\nb 1\nc {-2 * m}\ntheta_star 0 1\n")
+    with _wall_bound(5):
+        assert main(["check", str(path), "--machine"]) == 0
+    assert "qpoly=true" in capsys.readouterr().out
+
+
+def test_gate_check_over_a_127_bit_prime(tmp_path, capsys):
+    path = tmp_path / "m127.lp"
+    path.write_text(f"field prime {M127}\nd 1\na 0 0\nb 1\nc 1\ntheta_star 0 1\n")
+    with _wall_bound(5):
+        assert main(["check", str(path), "--machine"]) == 0
+    assert "qpoly=true" in capsys.readouterr().out
+
+
+def test_gate_spectrum_of_a_random_pair_over_gf_m61():
+    with _wall_bound(5):
+        spec = compute_spectrum(gen_random(16, GF(M61), 0))
+    assert len(spec.theta) == 17
+
+
+@pytest.mark.parametrize("d", [16, 24, 32])
+def test_gate_spectrum_of_krawtchouk_images(d):
+    image = affine_transform(gen_krawtchouk(d)[0], 3, 7, 1, 0)
+    with _wall_bound(5):
+        spec = compute_spectrum(image)
+    assert [t.value for t in spec.theta] == sorted(3 * (d - 2 * i) + 7 for i in range(d + 1))
