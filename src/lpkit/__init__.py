@@ -21,9 +21,8 @@ from .instances import (Instance, affine_transform, gen_krawtchouk,
 from .leaf import (LeafVerdict, appendix_a, appendix_b, leaf_by_ratio,
                    leaf_by_recurrence, leaf_by_subspace)
 from .qpoly import (QPolyVerdict, RecurrenceWitness, is_q_polynomial,
-                    leonard_ordering, solve_witness, verify_aw2)
-from .system import (Spectrum, TridiagonalSystem, compute_spectrum, dagger,
-                     dual_a, intersection_a, make_system, realize_matrices,
-                     validate_system)
+                    solve_witness, verify_aw2)
+from .system import (Spectrum, TridiagonalSystem, compute_spectrum, dual_a,
+                     make_system, realize_matrices, validate_system)
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .cosine import rebase_to_row_sum
 from .delta import build_delta
-from .errors import (CosineVanishes, LpkitError, NotAnEigenvalue,
+from .errors import (CosineVanishes, LpkitError, NotAnEigenvalue, ParseError,
                      PreconditionViolated, RouteUnavailable)
 from .exactmath import GF, RATIONALS
 from .instances import Instance, gen_krawtchouk, gen_random, parse_instance, serialize_instance
@@ -34,8 +34,11 @@ _LEAF_METHODS = {
 
 
 def _load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        inst = parse_instance(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            inst = parse_instance(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from exc
     spec = compute_spectrum(inst.system, theta_hint=inst.theta)
     return inst, spec
 
@@ -273,10 +276,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse uses 2 for usage errors, matching the exit-code contract
         return int(exc.code or 0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .exactmath import Matrix, rank
-from .system import Spectrum, TridiagonalSystem, realize_matrices
+from .system import Spectrum, TridiagonalSystem
 
 __all__ = [
     "DeltaGraph",
@@ -118,14 +118,13 @@ def leaves(g: DeltaGraph) -> set[int]:
 def astar_invariance(sys: TridiagonalSystem, spec: Spectrum, s: Iterable[int]) -> bool:
     """Decide whether Astar maps the span of the E_h eigenspaces (h in s) into itself.
 
-    Uses column-space rank tests only; idempotent columns are basis-dependent,
-    so basis equality would be wrong here.
+    E_h V is spanned by v_h, so this compares rank [v_h] with rank [v_h | Astar v_h].
     """
     s = sorted(set(s))
     if not s:
         return True
-    _, astar = realize_matrices(sys)
-    basis = spec.E[s[0]]
-    for h in s[1:]:
-        basis = basis.hstack(spec.E[h])
-    return rank(basis) == rank(basis.hstack(astar @ basis))
+    n = sys.d + 1
+    basis = Matrix(sys.field, n, len(s), [spec.v[h][k] for k in range(n) for h in s])
+    image = Matrix(sys.field, n, len(s),
+                   [t * spec.v[h][k] for k, t in enumerate(sys.theta_star) for h in s])
+    return rank(basis) == rank(basis.hstack(image))

@@ -65,10 +65,6 @@ class RouteUnavailable(LpkitError):
     pass
 
 
-class NotQPolynomial(LpkitError):
-    pass
-
-
 class CharacteristicTooSmall(LpkitError):
     pass
 

@@ -372,9 +372,6 @@ class Matrix:
     def row(self, i: int) -> list[Scalar]:
         return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
-    def column(self, j: int) -> list[Scalar]:
-        return [self.at(i, j) for i in range(self.rows)]
-
     def _check(self, other: "Matrix"):
         if not isinstance(other, Matrix):
             raise TypeError("expected Matrix")

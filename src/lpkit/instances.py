@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import (CharacteristicTooSmall, GenerationFailed, IndexOutOfRange,
                      InternalInconsistency, NonDecimalScalar, ParseError, ZeroScale)

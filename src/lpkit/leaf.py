@@ -13,8 +13,8 @@ from typing import Optional
 
 from .cosine import constant_row_sum
 from .errors import EqualIndices, IndexOutOfRange, PreconditionViolated
-from .exactmath import Matrix, Scalar
-from .system import Spectrum, TridiagonalSystem, dual_a, realize_matrices
+from .exactmath import Scalar
+from .system import Spectrum, TridiagonalSystem, dual_a
 
 __all__ = [
     "LeafVerdict",
@@ -44,15 +44,17 @@ def _check_pair(sys: TridiagonalSystem, r: int, s: int):
 
 
 def leaf_by_subspace(sys: TridiagonalSystem, spec: Spectrum, r: int, s: int) -> LeafVerdict:
-    """Image test: (Astar - a*_r I) maps E_r V onto E_s V exactly when confirmed."""
+    """Image test: (Astar - a*_r I) maps E_r V onto E_s V exactly when confirmed.
+
+    E_r V is spanned by v_r, so this tests w = (Astar - a*_r I) v_r != 0 and A w = theta_s w.
+    """
     _check_pair(sys, r, s)
-    a_mat, astar = realize_matrices(sys)
     astar_r = dual_a(sys, spec, r)
-    n = sys.d + 1
-    col = next(j for j in range(n) if any(not x.is_zero() for x in spec.E[r].column(j)))
-    v = Matrix(sys.field, n, 1, spec.E[r].column(col))
-    w = (astar - Matrix.identity(sys.field, n).scale(astar_r)) @ v
-    confirmed = (not w.is_zero()) and (a_mat @ w) == w.scale(spec.theta[s])
+    w = [(t - astar_r) * x for t, x in zip(sys.theta_star, spec.v[r])]
+    padded = [sys.field.zero(), *w, sys.field.zero()]
+    confirmed = any(not x.is_zero() for x in w) and all(
+        sys.sub(i) * padded[i] + sys.a[i] * w[i] + sys.sup(i) * padded[i + 2]
+        == spec.theta[s] * w[i] for i in range(sys.d + 1))
     return LeafVerdict(confirmed, "subspace", kappa=astar_r if confirmed else None)
 
 

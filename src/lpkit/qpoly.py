@@ -12,11 +12,10 @@ The two routes must always agree; disagreement is an implementation bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Optional, Sequence
 
 from .delta import build_delta, path_order
-from .errors import InternalInconsistency, NotConstant, NotQPolynomial, RouteUnavailable
+from .errors import InternalInconsistency, NotConstant, RouteUnavailable
 from .exactmath import Matrix, Scalar, solve_affine
 from .leaf import leaf_by_ratio
 from .system import Spectrum, TridiagonalSystem, realize_matrices
@@ -31,7 +30,6 @@ __all__ = [
     "verify_aw2",
     "solve_witness",
     "is_q_polynomial",
-    "leonard_ordering",
 ]
 
 
@@ -147,11 +145,12 @@ def verify_aw2(sys: TridiagonalSystem, spec: Spectrum, witness: RecurrenceWitnes
     """
     a_mat, astar = realize_matrices(sys)
     n = sys.d + 1
-    # cheap spectral consistency check: A = sum theta_i E_i
-    recon = Matrix.zero(sys.field, n, n)
-    for t, e in zip(spec.theta, spec.E):
-        recon = recon + e.scale(t)
-    if recon != a_mat:
+    # spectral consistency check: A = sum theta_i E_i = L R with
+    # L[a][i] = theta_i v_i[a] / n_i and R[i][b] = K_b v_i[b]
+    scaled = [t / norm for t, norm in zip(spec.theta, spec.norm)]
+    left = Matrix(sys.field, n, n, [c * v[a] for a in range(n) for c, v in zip(scaled, spec.v)])
+    right = Matrix(sys.field, n, n, [kk * x for v in spec.v for kk, x in zip(spec.k, v)])
+    if left @ right != a_mat:
         raise InternalInconsistency("spectrum inconsistent with A")
     as2 = astar @ astar
     lhs = (as2 @ a_mat - (astar @ a_mat @ astar).scale(witness.beta) + a_mat @ as2
@@ -252,28 +251,3 @@ def is_q_polynomial(sys: TridiagonalSystem, spec: Spectrum,
     if any(sys.theta_star[i] == sys.theta_star[0] for i in range(1, sys.d + 1)):
         return QPolyVerdict(False, "theorem", failed_condition="iv")
     return QPolyVerdict(True, "theorem", witness=witness)
-
-
-def leonard_ordering(sys: TridiagonalSystem, spec: Spectrum) -> tuple[int, ...]:
-    """The path order of the graph, verified to yield a Leonard system.
-
-    Re-checks both tridiagonal zero/nonzero patterns exactly after the
-    reordering; raises NotQPolynomial when the graph is not a path.
-    """
-    g = build_delta(sys, spec)
-    order = path_order(g)
-    if order is None:
-        raise NotQPolynomial("the adjacency graph is not a path")
-    a_mat, astar = realize_matrices(sys)
-    n = sys.d + 1
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            prod = spec.E[order[i]] @ astar @ spec.E[order[j]]
-            if prod.is_zero() != (abs(i - j) > 1):
-                raise InternalInconsistency(
-                    f"reordered idempotents violate the tridiagonal pattern at ({i}, {j})")
-            if a_mat.at(i, j).is_zero() != (abs(i - j) > 1):
-                raise InternalInconsistency(f"A violates the tridiagonal pattern at ({i}, {j})")
-    return order

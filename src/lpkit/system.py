@@ -3,9 +3,8 @@
 A system holds the data of an irreducible tridiagonal matrix A (diagonal a_i,
 superdiagonal b_i, subdiagonal c_i) together with the dual eigenvalues
 theta*_i that make the companion operator Astar = diag(theta*_0..theta*_d).
-This module computes spectra, rank-one spectral projectors, the trace scalars
-a_i and a*_i, and the concrete conjugation realizing the antiautomorphism
-that fixes A and the 0-th coordinate projector.
+This module computes spectra as the factors of their rank-one spectral
+projectors, and the trace scalars a*_r.
 
 Each primitive idempotent has rank one: E_i = v_i (K v_i)^T / n_i, where v_i
 is the cosine vector of theta_i (a right eigenvector), K is the diagonal
@@ -16,7 +15,6 @@ downstream reads them instead of dense matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import HintInvalid, IndexOutOfRange, InternalInconsistency, NotMultiplicityFree
@@ -32,10 +30,7 @@ __all__ = [
     "char_poly",
     "cosine_recurrence",
     "compute_spectrum",
-    "intersection_a",
     "dual_a",
-    "dagger_matrix",
-    "dagger",
 ]
 
 
@@ -81,19 +76,6 @@ class Spectrum:
     @property
     def d(self) -> int:
         return len(self.theta) - 1
-
-    @cached_property
-    def E(self) -> tuple[Matrix, ...]:
-        """The dense primitive idempotents, built on first use."""
-        field = self.theta[0].field
-        n = len(self.theta)
-        out = []
-        for v, norm in zip(self.v, self.norm):
-            inv = norm.inverse()
-            col = [x * inv for x in v]
-            row = [kk * x for kk, x in zip(self.k, v)]
-            out.append(Matrix(field, n, n, [x * y for x in col for y in row]))
-        return tuple(out)
 
 
 def make_system(field: FieldSpec, a: Sequence, b: Sequence, c: Sequence,
@@ -230,23 +212,6 @@ def compute_spectrum(sys: TridiagonalSystem,
     return Spectrum(theta, tuple(vectors), tuple(norms), k)
 
 
-def _coordinate_projector(field: FieldSpec, n: int, i: int) -> Matrix:
-    flat = [field.zero()] * (n * n)
-    flat[i * n + i] = field.one()
-    return Matrix(field, n, n, flat)
-
-
-def intersection_a(sys: TridiagonalSystem, i: int) -> Scalar:
-    """The trace scalar a_i = tr(Estar_i A); equals the (i,i)-entry of A."""
-    if not 0 <= i <= sys.d:
-        raise IndexOutOfRange(f"index {i} out of 0..{sys.d}")
-    a_mat, _ = realize_matrices(sys)
-    proj = _coordinate_projector(sys.field, sys.d + 1, i)
-    if (proj @ a_mat).trace() != sys.a[i]:
-        raise InternalInconsistency("tr(Estar_i A) disagrees with the diagonal entry")
-    return sys.a[i]
-
-
 def dual_a(sys: TridiagonalSystem, spec: Spectrum, r: int) -> Scalar:
     """The trace scalar a*_r = tr(E_r Astar) = sum_k K_k theta*_k v_r[k]^2 / n_r.
 
@@ -261,26 +226,8 @@ def dual_a(sys: TridiagonalSystem, spec: Spectrum, r: int) -> Scalar:
 
 
 def _dagger_diagonal(sys: TridiagonalSystem) -> tuple[Scalar, ...]:
+    """Diagonal of K with K_0 = 1 and K_{h+1} = K_h b_h / c_{h+1}, so that A^T K = K A."""
     diag = [sys.field.one()]
     for h in range(sys.d):
         diag.append(diag[-1] * sys.b[h] / sys.c[h])
     return tuple(diag)
-
-
-def dagger_matrix(sys: TridiagonalSystem) -> Matrix:
-    """Diagonal K with K_0 = 1 and K_i = prod_{h<i} b_h / c_{h+1}.
-
-    Conjugation by K realizes the unique antiautomorphism fixing A and the
-    0-th coordinate projector: the ratio K_{i+1}/K_i = b_i/c_{i+1} makes the
-    conjugated transpose reproduce the tridiagonal entries of A, and any
-    antiautomorphism fixing both generators of the full matrix algebra is
-    that unique one.
-    """
-    return Matrix.diagonal(sys.field, list(_dagger_diagonal(sys)))
-
-
-def dagger(sys: TridiagonalSystem, x: Matrix) -> Matrix:
-    """Apply the antiautomorphism: K^{-1} X^T K with K from dagger_matrix."""
-    k = dagger_matrix(sys)
-    k_inv = Matrix.diagonal(sys.field, [k.at(i, i).inverse() for i in range(k.rows)])
-    return k_inv @ x.transpose() @ k

@@ -10,6 +10,7 @@ import random
 from dataclasses import replace
 from functools import wraps
 
+from dense_oracles import dagger, rank_one_idempotents
 from lpkit.cli import main
 from lpkit.cosine import char_poly, constant_row_sum, cosine_sequence, rebase_to_row_sum, u_polys
 from lpkit.delta import build_delta
@@ -19,7 +20,7 @@ from lpkit.instances import affine_transform, gen_krawtchouk, mutate_theta_star
 from lpkit.leaf import (appendix_a, appendix_b, leaf_by_ratio,
                         leaf_by_recurrence, leaf_by_subspace)
 from lpkit.qpoly import is_q_polynomial, solve_witness, verify_aw2
-from lpkit.system import compute_spectrum, dagger, make_system, realize_matrices
+from lpkit.system import compute_spectrum, make_system, realize_matrices
 
 GF101 = GF(101)
 
@@ -45,10 +46,11 @@ def test_criterion_1(full_corpus):
         field = sys_.field
         total = Matrix.zero(field, n, n)
         zero = Matrix.zero(field, n, n)
-        for i, e in enumerate(spec.E):
+        idempotents = rank_one_idempotents(spec)
+        for i, e in enumerate(idempotents):
             assert rank(e) == 1
             total = total + e
-            for j, f in enumerate(spec.E):
+            for j, f in enumerate(idempotents):
                 assert e @ f == (e if i == j else zero)
         assert total == Matrix.identity(field, n)
 
@@ -196,7 +198,7 @@ def test_criterion_8(full_corpus):
         assert dagger(sys_, astar) == astar
         estar0 = Matrix.diagonal(field, [field.one()] + [field.zero()] * sys_.d)
         assert dagger(sys_, estar0) == estar0
-        for e in spec.E:
+        for e in rank_one_idempotents(spec):
             assert dagger(sys_, e) == e
         draw = ((lambda: rng.randrange(101)) if field.is_prime_field
                 else (lambda: rng.randrange(-9, 10)))

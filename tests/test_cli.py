@@ -5,8 +5,15 @@ import ast
 import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lpkit.cli import main
+from lpkit.instances import Instance, gen_krawtchouk, serialize_instance
+from test_roots import _NO_SHRINK, _wall_bound
+
+SOURCES = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+           for path in (pathlib.Path(__file__).resolve().parents[1] / "src" / "lpkit").glob("*.py")}
 
 
 @pytest.fixture()
@@ -122,15 +129,40 @@ def test_missing_file():
     assert main(["check", "definitely-missing.lp"]) == 2
 
 
-def test_usage_error():
+_K3 = serialize_instance(Instance(*gen_krawtchouk(3))).encode()
+
+
+# raw bytes, or a valid file with a few bytes overwritten; every example reuses the fixtures
+@settings(max_examples=100, deadline=None, phases=_NO_SHRINK,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.binary(max_size=300) | st.builds(lambda i, junk: _K3[:i] + junk + _K3[i + len(junk):],
+                                           st.integers(0, len(_K3)), st.binary(min_size=1, max_size=8)))
+def test_arbitrary_bytes_keep_the_exit_code_contract(tmp_path, capsys, data):
+    path = tmp_path / "hostile.lp"
+    path.write_bytes(data)
+    with _wall_bound(5):
+        codes = [main([cmd, str(path), *flags]) for cmd, *flags in (
+            ["check"], ["delta"], ["verify-aw2"], ["rebase", "--search"],
+            ["leaf", "--r", "0", "--s", "1", "--method", "subspace"])]
+    err = capsys.readouterr().err
+    assert set(codes) <= {0, 1, 2} and "Traceback" not in err and "unexpected" not in err
+
+
+def test_usage_error(k3_file, capsys):
     assert main(["frobnicate"]) == 2
     assert main(["leaf", "x.lp", "--r", "0"]) == 2  # missing required flags
+    # the one parser serves further calls in the same process
+    assert [main(["--help"]), main(["check", k3_file])] == [0, 0]
+    assert "usage: lpkit" in capsys.readouterr().out
 
 
-def test_parse_error(tmp_path):
+def test_parse_error(tmp_path, capsys):
     bad = tmp_path / "float.lp"
     bad.write_text("field rationals\nd 2\na 0.5 0 0\nb 2 1\nc 1 2\ntheta_star 2 0 -2\n")
     assert main(["check", str(bad)]) == 2
+    bad.write_bytes(b"field rationals\nlabel \xff\n")
+    assert main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err.endswith(f"error: ParseError: {bad}: not UTF-8 text (byte 0xff)\n")
 
 
 def test_gen_random_non_prime_field(capsys):
@@ -167,12 +199,22 @@ def test_unexpected_exception_exits_2(k3_file, monkeypatch, capsys):
 
 def test_source_has_no_assert_statements():
     # invariants raise InternalInconsistency, which survives python -O
-    paths = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "lpkit").glob("*.py"))
-    assert paths
-    for path in paths:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert SOURCES
+    for name, tree in SOURCES.items():
         found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-        assert not found, f"{path.name}: assert on lines {found}"
+        assert not found, f"{name}: assert on lines {found}"
+
+
+def test_source_has_no_unused_imports():
+    # __init__.py imports only to re-export; a name listed in __all__ counts as used
+    for name, tree in SOURCES.items():
+        imported = {(alias.asname or alias.name).split(".")[0] for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+        unused = imported - used
+        assert name == "__init__.py" or not unused, f"{name}: unused imports {sorted(unused)}"
 
 
 def test_pseudoprime_modulus_is_rejected(tmp_path, capsys):

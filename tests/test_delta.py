@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from dense_oracles import rank_one_idempotents
 from lpkit.delta import (DeltaGraph, astar_invariance, build_delta,
                          is_connected, leaves, path_order)
 from lpkit.exactmath import RATIONALS, rank
@@ -67,15 +68,16 @@ def test_adjacency_matches_rank_one_products(random_corpus):
     from lpkit.system import realize_matrices
     for sys_, spec in random_corpus[:15]:
         _, astar = realize_matrices(sys_)
+        idempotents = rank_one_idempotents(spec)
         g = build_delta(sys_, spec)
         for i in range(g.n):
             for j in range(g.n):
                 if i == j:
                     continue
-                prod = spec.E[i] @ astar @ spec.E[j]
+                prod = idempotents[i] @ astar @ idempotents[j]
                 if g.adj[i][j]:
                     assert rank(prod) == 1
-                    assert rank(spec.E[i].hstack(prod)) == 1
+                    assert rank(idempotents[i].hstack(prod)) == 1
                 else:
                     assert prod.is_zero()
 

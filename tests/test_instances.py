@@ -1,7 +1,7 @@
 """Generators, affine closure, mutation, and the instance file format."""
 from __future__ import annotations
 
-import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,7 @@ from lpkit.instances import (Instance, affine_transform, gen_krawtchouk,
                              gen_random, mutate_theta_star, parse_instance,
                              serialize_instance)
 from lpkit.qpoly import is_q_polynomial
-from lpkit.system import compute_spectrum, validate_system
+from lpkit.system import TridiagonalSystem, compute_spectrum, validate_system
 
 GF101 = GF(101)
 
@@ -131,11 +131,26 @@ def test_parse_accepts_comments_and_fractions():
     assert str(inst.system.a[0]) == "1/2"
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 10**6))
-def test_round_trip_random(seed):
-    rng = random.Random(seed)
-    d = rng.randrange(2, 7)
-    sys_ = gen_random(d, GF101, seed)
-    inst = Instance(sys_, None, f"rt-{seed}")
-    assert parse_instance(serialize_instance(inst)).system == sys_
+@st.composite
+def _instances(draw):
+    """Entries n/m with |n|, m up to 10^30 (negative, fractional, 30-digit), hints, labels."""
+    field = draw(st.sampled_from([RATIONALS, GF(2), GF101, GF(2**127 - 1)]))
+    dens = st.integers(1, 10**30).filter(lambda m: not field.is_prime_field or m % field.modulus)
+    scalars = st.builds(lambda n, m: field.scalar(Fraction(n, m)), st.integers(-10**30, 10**30), dens)
+    d = draw(st.integers(1, 5))
+
+    def vec(n, elements=scalars):
+        return tuple(draw(st.lists(elements, min_size=n, max_size=n)))
+
+    nonzero = scalars.filter(bool)
+    system = TridiagonalSystem(d, vec(d + 1), vec(d, nonzero), vec(d, nonzero), vec(d + 1), field)
+    theta = vec(d + 1) if draw(st.booleans()) else None
+    label = draw(st.text(st.characters(whitelist_categories=("L", "N", "P", "S", "Zs")),
+                         max_size=12).map(str.strip))
+    return Instance(system, theta, label)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_instances())
+def test_round_trip_random(inst):
+    assert parse_instance(serialize_instance(inst)) == inst

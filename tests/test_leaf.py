@@ -48,6 +48,7 @@ def test_recurrence_all_rhs_zero_clause():
     spec = compute_spectrum(sys_)
     v = leaf_by_recurrence(sys_, spec, 0, 1)
     assert not v.confirmed and v.failing_index is None
+    assert not leaf_by_subspace(sys_, spec, 0, 1).confirmed  # the image of E_0 V is zero
 
 
 def test_ratio_denies_when_dual_a_hits_theta_star_0():

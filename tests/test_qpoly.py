@@ -5,11 +5,11 @@ from dataclasses import replace
 
 import pytest
 
-from lpkit.errors import NotConstant, NotQPolynomial, RouteUnavailable
+from lpkit.errors import InternalInconsistency, NotConstant, RouteUnavailable
 from lpkit.exactmath import RATIONALS
-from lpkit.instances import gen_krawtchouk, mutate_theta_star
+from lpkit.instances import affine_transform, gen_krawtchouk, mutate_theta_star
 from lpkit.qpoly import (compute_delta_star, extend_dual_eigenvalues,
-                         is_q_polynomial, leonard_ordering, solve_condition_ii,
+                         is_q_polynomial, solve_condition_ii,
                          solve_condition_iii, solve_witness, verify_aw2)
 from lpkit.system import compute_spectrum, make_system
 
@@ -87,6 +87,13 @@ def test_verify_aw2_k3_and_perturbations(k3):
         assert not verify_aw2(sys_, spec, bumped)
 
 
+def test_verify_aw2_rejects_a_spectrum_of_another_operator():
+    # the affine image keeps the cosine vectors but has the eigenvalues 3 theta + 7
+    k4, _ = gen_krawtchouk(4)
+    with pytest.raises(InternalInconsistency, match="spectrum inconsistent with A"):
+        verify_aw2(k4, compute_spectrum(affine_transform(k4, 3, 7, 1, 0)), solve_witness(k4))
+
+
 def test_is_q_polynomial_k3(k3):
     sys_, spec = k3
     direct = is_q_polynomial(sys_, spec, route="direct")
@@ -126,10 +133,10 @@ def test_theorem_route_needs_d3(k2):
 
 def test_leonard_ordering(k3):
     sys_, spec = k3
-    assert leonard_ordering(sys_, spec) == (0, 1, 2, 3)
+    assert is_q_polynomial(sys_, spec).leonard_order == (0, 1, 2, 3)
     scalar = make_system(RATIONALS, [0, 0, 0], [2, 1], [1, 2], [5, 5, 5])
-    with pytest.raises(NotQPolynomial):
-        leonard_ordering(scalar, compute_spectrum(scalar))
+    verdict = is_q_polynomial(scalar, compute_spectrum(scalar))
+    assert not verdict.qpoly and verdict.leonard_order is None
 
 
 def test_gamma_recurrence_along_path(krawtchouk_corpus):

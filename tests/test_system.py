@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpkit.errors import HintInvalid, IndexOutOfRange, NotMultiplicityFree
+from dense_oracles import dagger, rank_one_idempotents
+from lpkit.errors import HintInvalid, NotMultiplicityFree
 from lpkit.exactmath import GF, RATIONALS, Matrix, rank
-from lpkit.system import (TridiagonalSystem, compute_spectrum, dagger, dual_a,
-                          intersection_a, make_system, realize_matrices,
-                          validate_system)
+from lpkit.system import (TridiagonalSystem, compute_spectrum, dual_a, make_system,
+                          realize_matrices, validate_system)
 
 GF101 = GF(101)
 
@@ -50,7 +50,8 @@ def test_compute_spectrum_k2():
     assert [t.value for t in spec.theta] == [-2, 0, 2]  # canonical ascending order
     i2 = spec.theta.index(RATIONALS.scalar(2))
     quarter, half = Fraction(1, 4), Fraction(1, 2)
-    assert spec.E[i2] == Matrix.from_rows(RATIONALS, [[quarter, half, quarter]] * 3)
+    expected = Matrix.from_rows(RATIONALS, [[quarter, half, quarter]] * 3)
+    assert rank_one_idempotents(spec)[i2] == expected
 
 
 def test_spectrum_axioms_k2():
@@ -58,11 +59,12 @@ def test_spectrum_axioms_k2():
     n = 3
     total = Matrix.zero(RATIONALS, n, n)
     a_mat, _ = realize_matrices(_k2())
-    for i, e in enumerate(spec.E):
+    idempotents = rank_one_idempotents(spec)
+    for i, e in enumerate(idempotents):
         assert rank(e) == 1
         assert a_mat @ e == e.scale(spec.theta[i])
         total = total + e
-        for j, f in enumerate(spec.E):
+        for j, f in enumerate(idempotents):
             assert e @ f == (e if i == j else Matrix.zero(RATIONALS, n, n))
     assert total == Matrix.identity(RATIONALS, n)
 
@@ -86,18 +88,6 @@ def test_hint_invalid():
         compute_spectrum(sys_, theta_hint=good[:2])
     with pytest.raises(HintInvalid):
         compute_spectrum(sys_, theta_hint=[good[0]] * 3)
-
-
-def test_intersection_a():
-    sys_ = _k2()
-    assert intersection_a(sys_, 1).is_zero()
-    small = make_system(RATIONALS, [5, 7], [1], [1], [0, 1])
-    assert intersection_a(small, 0).value == 5
-    a_mat, _ = realize_matrices(small)
-    total = intersection_a(small, 0) + intersection_a(small, 1)
-    assert total == a_mat.trace()
-    with pytest.raises(IndexOutOfRange):
-        intersection_a(sys_, 3)
 
 
 def test_dual_a():
@@ -125,7 +115,7 @@ def test_dagger_fixes_generators(k3):
     assert dagger(sys_, Matrix.identity(sys_.field, n)) == Matrix.identity(sys_.field, n)
     estar0 = Matrix.diagonal(sys_.field, [sys_.field.one()] + [sys_.field.zero()] * sys_.d)
     assert dagger(sys_, estar0) == estar0
-    for e in spec.E:
+    for e in rank_one_idempotents(spec):
         assert dagger(sys_, e) == e
 
 
@@ -182,7 +172,7 @@ def test_spectral_reconstruction(random_corpus):
         a_mat, _ = realize_matrices(sys_)
         n = sys_.d + 1
         recon = Matrix.zero(sys_.field, n, n)
-        for t, e in zip(spec.theta, spec.E):
+        for t, e in zip(spec.theta, rank_one_idempotents(spec)):
             recon = recon + e.scale(t)
         assert recon == a_mat
 
