@@ -9,10 +9,9 @@ floating point anywhere.
 from __future__ import annotations
 
 from .cosine import (CosineSequence, PolynomialSequence, char_poly,
-                     constant_row_sum, cosine_sequence, normalize, p_polys,
-                     rebase_to_row_sum, rescale_superdiagonal, u_polys)
-from .delta import (DeltaGraph, astar_invariance, build_delta, is_connected,
-                    leaves, path_order)
+                     constant_row_sum, cosine_sequence, rebase_to_row_sum,
+                     rescale_superdiagonal, u_polys)
+from .delta import DeltaGraph, astar_invariance, build_delta, is_connected, path_order
 from .errors import LpkitError
 from .exactmath import GF, RATIONALS, FieldSpec, Matrix, Poly, Scalar, rank
 from .instances import (Instance, affine_transform, gen_krawtchouk,

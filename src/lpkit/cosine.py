@@ -1,10 +1,11 @@
 """Three-term-recurrence polynomial sequences, cosine sequences, and rescaling.
 
 The u_i sequence satisfies lambda*u_i = c_i u_{i-1} + a_i u_i + b_i u_{i+1}
-with u_0 = 1; the monic p_i sequence is the same recurrence written in the
-normalized basis (all superdiagonal entries 1).  The top polynomial u_{d+1}
-is the characteristic polynomial of A, and the evaluations u_i(theta) at an
-eigenvalue theta are the coordinates of the corresponding eigenvector.
+with u_0 = 1; the monic p_i sequence (``system.monic_polys``) is the same
+recurrence written in the normalized basis (all superdiagonal entries 1).
+The top polynomial u_{d+1} is the characteristic polynomial of A, and the
+evaluations u_i(theta) at an eigenvalue theta are the coordinates of the
+corresponding eigenvector.
 """
 from __future__ import annotations
 
@@ -13,17 +14,15 @@ from typing import Optional, Sequence
 
 from .errors import CosineVanishes, InternalInconsistency, NotAnEigenvalue, ZeroTarget
 from .exactmath import Poly, Scalar
-from .system import TridiagonalSystem, char_poly, cosine_recurrence, monic_polys
+from .system import TridiagonalSystem, char_poly, cosine_recurrence
 
 __all__ = [
     "PolynomialSequence",
     "CosineSequence",
     "u_polys",
-    "p_polys",
     "char_poly",
     "cosine_sequence",
     "rescale_superdiagonal",
-    "normalize",
     "constant_row_sum",
     "rebase_to_row_sum",
 ]
@@ -31,7 +30,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PolynomialSequence:
-    """u_0..u_{d+1} (or monic p_0..p_{d+1}) with exact coefficients."""
+    """u_0..u_{d+1} with exact coefficients."""
 
     u: tuple[Poly, ...]
 
@@ -69,25 +68,6 @@ def u_polys(sys: TridiagonalSystem) -> PolynomialSequence:
     return PolynomialSequence(tuple(seq))
 
 
-def p_polys(sys: TridiagonalSystem) -> PolynomialSequence:
-    """The monic sequence: lambda*p_i = b_{i-1}c_i p_{i-1} + a_i p_i + p_{i+1}.
-
-    Cross-checked against u_polys via p_i = u_i * (b_0...b_{i-1}) and
-    p_{d+1} = u_{d+1}.
-    """
-    seq = monic_polys(sys)
-    useq = u_polys(sys).u
-    b_prod = sys.field.one()
-    for i in range(sys.d + 1):
-        if seq[i] != useq[i] * b_prod:
-            raise InternalInconsistency(f"monic and scaled sequences disagree at {i}")
-        if i <= sys.d - 1:
-            b_prod = b_prod * sys.b[i]
-    if seq[sys.d + 1] != useq[sys.d + 1]:
-        raise InternalInconsistency("top polynomials disagree")
-    return PolynomialSequence(seq)
-
-
 def cosine_sequence(sys: TridiagonalSystem, theta: Scalar) -> CosineSequence:
     """Evaluations (u_0(theta), ..., u_d(theta)); theta must be an eigenvalue."""
     alpha, residual = cosine_recurrence(sys, theta)
@@ -108,11 +88,6 @@ def rescale_superdiagonal(sys: TridiagonalSystem, targets: Sequence[Scalar]) -> 
         raise ZeroTarget("superdiagonal targets must be nonzero")
     new_c = tuple(sys.b[k] * sys.c[k] / targets[k] for k in range(sys.d))
     return TridiagonalSystem(sys.d, sys.a, tuple(targets), new_c, sys.theta_star, sys.field)
-
-
-def normalize(sys: TridiagonalSystem) -> TridiagonalSystem:
-    """Rescale to the normalized feasible basis (all superdiagonal entries 1)."""
-    return rescale_superdiagonal(sys, [sys.field.one()] * sys.d)
 
 
 def constant_row_sum(sys: TridiagonalSystem) -> Optional[Scalar]:

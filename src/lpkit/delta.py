@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .errors import IndexOutOfRange
 from .exactmath import Matrix, rank
 from .system import Spectrum, TridiagonalSystem
 
@@ -20,7 +21,6 @@ __all__ = [
     "build_delta",
     "is_connected",
     "path_order",
-    "leaves",
     "astar_invariance",
 ]
 
@@ -110,11 +110,6 @@ def path_order(g: DeltaGraph) -> Optional[tuple[int, ...]]:
     return tuple(order)
 
 
-def leaves(g: DeltaGraph) -> set[int]:
-    """Vertices adjacent to at most one vertex (isolated vertices included)."""
-    return {i for i in range(g.n) if g.degree(i) <= 1}
-
-
 def astar_invariance(sys: TridiagonalSystem, spec: Spectrum, s: Iterable[int]) -> bool:
     """Decide whether Astar maps the span of the E_h eigenspaces (h in s) into itself.
 
@@ -123,6 +118,8 @@ def astar_invariance(sys: TridiagonalSystem, spec: Spectrum, s: Iterable[int]) -
     s = sorted(set(s))
     if not s:
         return True
+    if s[0] < 0 or s[-1] > sys.d:
+        raise IndexOutOfRange(f"index set {s} not within 0..{sys.d}")
     n = sys.d + 1
     basis = Matrix(sys.field, n, len(s), [spec.v[h][k] for k in range(n) for h in s])
     image = Matrix(sys.field, n, len(s),

@@ -236,9 +236,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def is_monic(self) -> bool:
-        return not self.is_zero() and self.leading() == self.field.one()
-
     def __add__(self, other: "Poly") -> "Poly":
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(self.field, [self.coeff(k) + other.coeff(k) for k in range(n)])
@@ -297,13 +294,6 @@ class Poly:
                     rem[k + j] = rem[k + j] - q * dcoef
         return Poly(self.field, quo), Poly(self.field, rem[:dn])
 
-    def deflate(self, root: Scalar) -> "Poly":
-        """Divide out the factor (x - root); the root must be exact."""
-        q, r = self.divmod(Poly(self.field, [-root, self.field.one()]))
-        if not r.is_zero():
-            raise ValueError(f"{root} is not a root")
-        return q
-
     def __str__(self):
         if self.is_zero():
             return "0"
@@ -341,24 +331,9 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence]) -> "Matrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat = []
-        for row in rows:
-            if len(row) != ncols:
-                raise ShapeMismatch("ragged rows")
-            flat.extend(field.scalar(x) for x in row)
-        return cls(field, nrows, ncols, flat)
-
-    @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
         zero, one = field.zero(), field.one()
         return cls(field, n, n, [one if i == j else zero for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zero(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, [field.zero()] * (rows * cols))
 
     @classmethod
     def diagonal(cls, field: FieldSpec, diag: Sequence[Scalar]) -> "Matrix":
@@ -412,18 +387,6 @@ class Matrix:
 
     def scale(self, s: Scalar) -> "Matrix":
         return Matrix(self.field, self.rows, self.cols, [s * e for e in self.entries])
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows,
-                      [self.at(i, j) for j in range(self.cols) for i in range(self.rows)])
-
-    def trace(self) -> Scalar:
-        if self.rows != self.cols:
-            raise ShapeMismatch("trace of a non-square matrix")
-        acc = self.field.zero()
-        for i in range(self.rows):
-            acc = acc + self.at(i, i)
-        return acc
 
     def hstack(self, other: "Matrix") -> "Matrix":
         self._check(other)

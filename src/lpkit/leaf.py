@@ -25,9 +25,6 @@ __all__ = [
     "appendix_b",
 ]
 
-METHODS = ("subspace", "recurrence", "ratio", "appendixA", "appendixB")
-
-
 @dataclass(frozen=True)
 class LeafVerdict:
     confirmed: bool

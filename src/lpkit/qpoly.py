@@ -18,14 +18,13 @@ from .delta import build_delta, path_order
 from .errors import InternalInconsistency, NotConstant, RouteUnavailable
 from .exactmath import Matrix, Scalar, solve_affine
 from .leaf import leaf_by_ratio
-from .system import Spectrum, TridiagonalSystem, realize_matrices
+from .system import Spectrum, TridiagonalSystem
 
 __all__ = [
     "RecurrenceWitness",
     "QPolyVerdict",
     "solve_condition_ii",
     "extend_dual_eigenvalues",
-    "solve_condition_iii",
     "compute_delta_star",
     "verify_aw2",
     "solve_witness",
@@ -87,24 +86,6 @@ def extend_dual_eigenvalues(theta_star: Sequence[Scalar], beta: Scalar,
     return tuple([before] + theta_star + [after])
 
 
-def solve_condition_iii(sys: TridiagonalSystem, theta_star_ext: Sequence[Scalar]):
-    """Solution set over (gamma, omega, eta*) of the trace-scalar quadratic fit.
-
-    Equations: a_i (t*_i - t*_{i-1})(t*_i - t*_{i+1}) = gamma t*_i^2 + omega t*_i + eta*
-    for 0 <= i <= d, with indices read off the extended list.
-    """
-    ext = list(theta_star_ext)
-    field = sys.field
-    rows = []
-    rhs = []
-    for i in range(sys.d + 1):
-        t = ext[i + 1]
-        rows.append([t * t, t, field.one()])
-        rhs.append(sys.a[i] * (t - ext[i]) * (t - ext[i + 2]))
-    m = Matrix(field, len(rows), 3, [x for row in rows for x in row])
-    return solve_affine(m, rhs)
-
-
 def compute_delta_star(theta_star_ext: Sequence[Scalar], beta: Scalar,
                        gamma_star: Scalar) -> Scalar:
     """The common value of t*^2_{i-1} - beta t*_{i-1} t*_i + t*^2_i - gamma*(t*_{i-1}+t*_i).
@@ -136,29 +117,30 @@ def compute_delta_star(theta_star_ext: Sequence[Scalar], beta: Scalar,
     return delta_star
 
 
-def verify_aw2(sys: TridiagonalSystem, spec: Spectrum, witness: RecurrenceWitness) -> bool:
-    """Exact matrix check of the cubic operator identity
+def verify_aw2(sys: TridiagonalSystem, witness: RecurrenceWitness) -> bool:
+    """Exact check of the cubic operator identity
 
     As^2 A - beta As A As + A As^2 - gamma*(A As + As A) - delta* A
       = gamma As^2 + omega As + eta* I
-    where As is the diagonal operator.
+    where As is the diagonal operator.  With As diagonal, entry (i, j) of the
+    left side is A_ij P(t*_i, t*_j) for
+    P(x, y) = x^2 - beta x y + y^2 - gamma*(x + y) - delta*, so the identity
+    holds exactly when b_i P(t*_i, t*_{i+1}) and c_{i+1} P(t*_i, t*_{i+1})
+    vanish for 0 <= i < d and a_i P(t*_i, t*_i) = gamma t*_i^2 + omega t*_i + eta*
+    for 0 <= i <= d.  O(d).
     """
-    a_mat, astar = realize_matrices(sys)
-    n = sys.d + 1
-    # spectral consistency check: A = sum theta_i E_i = L R with
-    # L[a][i] = theta_i v_i[a] / n_i and R[i][b] = K_b v_i[b]
-    scaled = [t / norm for t, norm in zip(spec.theta, spec.norm)]
-    left = Matrix(sys.field, n, n, [c * v[a] for a in range(n) for c, v in zip(scaled, spec.v)])
-    right = Matrix(sys.field, n, n, [kk * x for v in spec.v for kk, x in zip(spec.k, v)])
-    if left @ right != a_mat:
-        raise InternalInconsistency("spectrum inconsistent with A")
-    as2 = astar @ astar
-    lhs = (as2 @ a_mat - (astar @ a_mat @ astar).scale(witness.beta) + a_mat @ as2
-           - (a_mat @ astar + astar @ a_mat).scale(witness.gamma_star)
-           - a_mat.scale(witness.delta_star))
-    rhs = (as2.scale(witness.gamma) + astar.scale(witness.omega)
-           + Matrix.identity(sys.field, n).scale(witness.eta_star))
-    return lhs == rhs
+    w = witness
+
+    def p(x: Scalar, y: Scalar) -> Scalar:
+        return x * x - w.beta * x * y + y * y - w.gamma_star * (x + y) - w.delta_star
+
+    ts = sys.theta_star
+    for b, c, x, y in zip(sys.b, sys.c, ts, ts[1:]):
+        off = p(x, y)
+        if not ((b * off).is_zero() and (c * off).is_zero()):
+            return False
+    return all(a * p(t, t) == w.gamma * t * t + w.omega * t + w.eta_star
+               for a, t in zip(sys.a, ts))
 
 
 def solve_witness(sys: TridiagonalSystem) -> Optional[RecurrenceWitness]:
@@ -190,7 +172,7 @@ def solve_witness(sys: TridiagonalSystem) -> Optional[RecurrenceWitness]:
         # constant part of a_i (t*_i - t*_{i-1})(t*_i - t*_{i+1})
         const = sys.a[i] * (t - ext0[i]) * (t - ext0[i + 2])
         param_coeffs = [zero] * k
-        if i == 0 and d >= 0:
+        if i == 0:
             # t*_{-1} is affine in the parameters; the product stays affine
             # because (t - t*_{-1}) is the only parameter-dependent factor
             factor = sys.a[0] * (t - ext0[2])

@@ -27,6 +27,11 @@ def _int_divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def _deflate(p: Poly, root: Scalar) -> Poly:
+    """p / (x - root) for a root of p."""
+    return p.divmod(Poly(p.field, [-root, p.field.one()]))[0]
+
+
 def scan_roots(p: Poly) -> list[tuple[Scalar, int]]:
     """Roots over GF(p) by evaluating every residue, with multiplicities."""
     field = p.field
@@ -36,7 +41,7 @@ def scan_roots(p: Poly) -> list[tuple[Scalar, int]]:
         point = Scalar(field, r)
         mult = 0
         while work.degree >= 1 and work(point).is_zero():
-            work = work.deflate(point)
+            work = _deflate(work, point)
             mult += 1
         if mult:
             roots.append((point, mult))
@@ -68,7 +73,7 @@ def divisor_roots(p: Poly) -> list[tuple[Scalar, int]]:
             point = field.scalar(cand)
             mult = 0
             while work.degree >= 1 and work(point).is_zero():
-                work = work.deflate(point)
+                work = _deflate(work, point)
                 mult += 1
             if mult:
                 roots.append((point, mult))

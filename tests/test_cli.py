@@ -205,16 +205,34 @@ def test_source_has_no_assert_statements():
         assert not found, f"{name}: assert on lines {found}"
 
 
+def _imported(tree):
+    return {(alias.asname or alias.name).split(".")[0] for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__" for alias in node.names}
+
+
 def test_source_has_no_unused_imports():
     # __init__.py imports only to re-export; a name listed in __all__ counts as used
     for name, tree in SOURCES.items():
-        imported = {(alias.asname or alias.name).split(".")[0] for node in tree.body
-                    if isinstance(node, (ast.Import, ast.ImportFrom))
-                    and getattr(node, "module", None) != "__future__" for alias in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         used |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
-        unused = imported - used
+        unused = _imported(tree) - used
         assert name == "__init__.py" or not unused, f"{name}: unused imports {sorted(unused)}"
+
+
+def test_source_all_lists_exactly_the_public_definitions():
+    # a stale export, or a public def/class left out of __all__, fails here
+    for name, tree in SOURCES.items():
+        listed = [set(ast.literal_eval(node.value)) for node in tree.body if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["__all__"]]
+        if not listed:  # errors.py and __init__.py declare no __all__
+            continue
+        defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assigned = {t.id for node in tree.body if isinstance(node, ast.Assign)
+                    for t in node.targets if isinstance(t, ast.Name)}
+        stale = listed[0] - defined - assigned - _imported(tree)
+        unlisted = {n for n in defined if not n.startswith("_")} - listed[0]
+        assert not stale and not unlisted, f"{name}: stale {sorted(stale)}, unlisted {sorted(unlisted)}"
 
 
 def test_pseudoprime_modulus_is_rejected(tmp_path, capsys):

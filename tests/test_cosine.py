@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpkit.cosine import (char_poly, constant_row_sum, cosine_sequence,
-                          normalize, p_polys, rebase_to_row_sum,
+from lpkit.cosine import (char_poly, constant_row_sum, cosine_sequence, rebase_to_row_sum,
                           rescale_superdiagonal, u_polys)
 from lpkit.errors import CosineVanishes, NotAnEigenvalue, ZeroTarget
 from lpkit.exactmath import GF, RATIONALS, Matrix, Poly
 from lpkit.instances import gen_random
-from lpkit.system import make_system, realize_matrices
+from lpkit.system import make_system, monic_polys, realize_matrices
 
 GF101 = GF(101)
 
@@ -47,10 +46,15 @@ def test_u_polys_small():
 
 def test_p_polys_k3(k3):
     sys_, _ = k3
-    p = p_polys(sys_).u
+    p, u = monic_polys(sys_), u_polys(sys_).u
     assert p[1] == P(RATIONALS, 0, 1)
     assert p[2] == P(RATIONALS, -3, 0, 1)
-    assert all(q.is_monic() for q in p[1:])
+    # p_i = u_i b_0...b_{i-1} is monic, and both sequences end in the same polynomial
+    b_prod = RATIONALS.one()
+    for i in range(sys_.d + 1):
+        assert p[i] == u[i] * b_prod and p[i].leading() == RATIONALS.one()
+        b_prod = b_prod * sys_.sup(i)
+    assert p[sys_.d + 1] == u[sys_.d + 1]
 
 
 def test_char_poly_examples(k3):
@@ -87,17 +91,17 @@ def test_rescale_superdiagonal():
     sys_ = _k2()
     same = rescale_superdiagonal(sys_, list(sys_.b))
     assert same == sys_
-    normed = normalize(sys_)
+    normed = rescale_superdiagonal(sys_, [1, 1])
     assert [x.value for x in normed.b] == [1, 1]
     assert [x.value for x in normed.c] == [2, 2]
-    assert normalize(normed) == normed
+    assert rescale_superdiagonal(normed, [1, 1]) == normed
     with pytest.raises(ZeroTarget):
         rescale_superdiagonal(sys_, [RATIONALS.one(), RATIONALS.zero()])
 
 
 def test_constant_row_sum(k3):
     assert constant_row_sum(k3[0]).value == 3
-    assert constant_row_sum(normalize(_k2())) is None
+    assert constant_row_sum(rescale_superdiagonal(_k2(), [1, 1])) is None
     small = make_system(RATIONALS, [5, 7], [1], [1], [0, 1])
     assert constant_row_sum(small) is None
 
@@ -108,7 +112,7 @@ def test_rebase_to_row_sum(k3):
     rebased = rebase_to_row_sum(sys_, RATIONALS.scalar(1))
     assert constant_row_sum(rebased).value == 1
     # normalized K2 rebased at theta = 2 recovers the original superdiagonal
-    back = rebase_to_row_sum(normalize(_k2()), RATIONALS.scalar(2))
+    back = rebase_to_row_sum(rescale_superdiagonal(_k2(), [1, 1]), RATIONALS.scalar(2))
     assert [x.value for x in back.b] == [2, 1]
     assert [x.value for x in back.c] == [1, 2]
 

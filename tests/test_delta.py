@@ -6,8 +6,8 @@ from itertools import combinations
 import pytest
 
 from dense_oracles import rank_one_idempotents
-from lpkit.delta import (DeltaGraph, astar_invariance, build_delta,
-                         is_connected, leaves, path_order)
+from lpkit.delta import DeltaGraph, astar_invariance, build_delta, is_connected, path_order
+from lpkit.errors import IndexOutOfRange
 from lpkit.exactmath import RATIONALS, rank
 from lpkit.system import compute_spectrum, make_system
 
@@ -42,7 +42,7 @@ def test_build_delta_k3(k3):
     g = build_delta(sys_, spec)
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
     assert is_connected(g)
-    assert leaves(g) == {0, 3}
+    assert [g.degree(i) for i in range(g.n)] == [1, 2, 2, 1]
 
 
 def test_build_delta_scalar_astar():
@@ -51,7 +51,7 @@ def test_build_delta_scalar_astar():
     g = build_delta(sys_, compute_spectrum(sys_))
     assert g.edges() == []
     assert not is_connected(g)
-    assert leaves(g) == {0, 1, 2}
+    assert [g.degree(i) for i in range(g.n)] == [0, 0, 0]
 
 
 def test_path_order_examples():
@@ -93,6 +93,9 @@ def test_astar_invariance_trivial(k2):
     assert astar_invariance(sys_, spec, range(sys_.d + 1))
     assert astar_invariance(sys_, spec, [])
     assert not astar_invariance(sys_, spec, [0])  # edge 0-1 crosses the cut
+    for bad in ([-1, 0, 1], [3], [0, 3]):  # -1 must not wrap around to vertex 2
+        with pytest.raises(IndexOutOfRange):
+            astar_invariance(sys_, spec, bad)
 
 
 def test_astar_invariance_cut_characterization(random_corpus):

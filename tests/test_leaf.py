@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from lpkit.cosine import constant_row_sum, normalize, rescale_superdiagonal
+from lpkit.cosine import constant_row_sum, rescale_superdiagonal
 from lpkit.delta import build_delta
 from lpkit.errors import EqualIndices, IndexOutOfRange, PreconditionViolated
 from lpkit.exactmath import GF, RATIONALS
@@ -98,7 +98,7 @@ def test_appendix_b_preconditions(k3):
         appendix_b(sys_, spec, wrong_r, 0)
     # no constant row sum at all
     k2 = make_system(RATIONALS, [0, 0, 0], [2, 1], [1, 2], [2, 0, -2])
-    normed = normalize(k2)
+    normed = rescale_superdiagonal(k2, [1, 1])
     with pytest.raises(PreconditionViolated):
         appendix_b(normed, compute_spectrum(normed), 0, 1)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import dagger, rank_one_idempotents
+from dense_oracles import dagger, matrix, rank_one_idempotents, spectral_sum, trace
 from lpkit.errors import HintInvalid, NotMultiplicityFree
 from lpkit.exactmath import GF, RATIONALS, Matrix, rank
 from lpkit.system import (TridiagonalSystem, compute_spectrum, dual_a, make_system,
@@ -39,10 +39,10 @@ def test_validate_length():
 
 def test_realize_matrices():
     a_mat, astar = realize_matrices(_k2())
-    assert a_mat == Matrix.from_rows(RATIONALS, [[0, 2, 0], [1, 0, 1], [0, 2, 0]])
-    assert astar == Matrix.from_rows(RATIONALS, [[2, 0, 0], [0, 0, 0], [0, 0, -2]])
+    assert a_mat == matrix(RATIONALS, [[0, 2, 0], [1, 0, 1], [0, 2, 0]])
+    assert astar == matrix(RATIONALS, [[2, 0, 0], [0, 0, 0], [0, 0, -2]])
     small = make_system(RATIONALS, [5, 7], [1], [1], [0, 1])
-    assert realize_matrices(small)[0] == Matrix.from_rows(RATIONALS, [[5, 1], [1, 7]])
+    assert realize_matrices(small)[0] == matrix(RATIONALS, [[5, 1], [1, 7]])
 
 
 def test_compute_spectrum_k2():
@@ -50,14 +50,14 @@ def test_compute_spectrum_k2():
     assert [t.value for t in spec.theta] == [-2, 0, 2]  # canonical ascending order
     i2 = spec.theta.index(RATIONALS.scalar(2))
     quarter, half = Fraction(1, 4), Fraction(1, 2)
-    expected = Matrix.from_rows(RATIONALS, [[quarter, half, quarter]] * 3)
+    expected = matrix(RATIONALS, [[quarter, half, quarter]] * 3)
     assert rank_one_idempotents(spec)[i2] == expected
 
 
 def test_spectrum_axioms_k2():
     spec = compute_spectrum(_k2())
     n = 3
-    total = Matrix.zero(RATIONALS, n, n)
+    total = matrix(RATIONALS, [[0] * n] * n)
     a_mat, _ = realize_matrices(_k2())
     idempotents = rank_one_idempotents(spec)
     for i, e in enumerate(idempotents):
@@ -65,7 +65,7 @@ def test_spectrum_axioms_k2():
         assert a_mat @ e == e.scale(spec.theta[i])
         total = total + e
         for j, f in enumerate(idempotents):
-            assert e @ f == (e if i == j else Matrix.zero(RATIONALS, n, n))
+            assert e @ f == (e if i == j else matrix(RATIONALS, [[0] * n] * n))
     assert total == Matrix.identity(RATIONALS, n)
 
 
@@ -98,7 +98,7 @@ def test_dual_a():
     total = RATIONALS.zero()
     for r in range(3):
         total = total + dual_a(sys_, spec, r)
-    assert total == astar.trace()
+    assert total == trace(astar)
 
 
 def test_dual_a_k3(k3):
@@ -129,8 +129,8 @@ def test_dagger_antiautomorphism(seed):
                        [rng.randrange(1, 101) for _ in range(d)],
                        list(range(d + 1)))
     n = d + 1
-    x = Matrix.from_rows(GF101, [[rng.randrange(101) for _ in range(n)] for _ in range(n)])
-    y = Matrix.from_rows(GF101, [[rng.randrange(101) for _ in range(n)] for _ in range(n)])
+    x = matrix(GF101, [[rng.randrange(101) for _ in range(n)] for _ in range(n)])
+    y = matrix(GF101, [[rng.randrange(101) for _ in range(n)] for _ in range(n)])
     assert dagger(sys_, x @ y) == dagger(sys_, y) @ dagger(sys_, x)
     assert dagger(sys_, dagger(sys_, x)) == x
 
@@ -171,10 +171,10 @@ def test_spectral_reconstruction(random_corpus):
     for sys_, spec in random_corpus[:20]:
         a_mat, _ = realize_matrices(sys_)
         n = sys_.d + 1
-        recon = Matrix.zero(sys_.field, n, n)
+        recon = matrix(sys_.field, [[0] * n] * n)
         for t, e in zip(spec.theta, rank_one_idempotents(spec)):
             recon = recon + e.scale(t)
-        assert recon == a_mat
+        assert recon == a_mat == spectral_sum(spec)
 
 
 def test_spectrum_checks_raise_internal_inconsistency(monkeypatch):
