@@ -129,7 +129,8 @@ class Scalar:
     def _check(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             raise TypeError(f"expected Scalar, got {type(other).__name__}")
-        if other.field != self.field:
+        # every scalar of an instance shares one FieldSpec, so identity settles most checks
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
         return other
 
@@ -173,7 +174,8 @@ class Scalar:
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.field == other.field and self.value == other.value
+        return ((self.field is other.field or self.field == other.field)
+                and self.value == other.value)
 
     def __hash__(self):
         return hash((self.field, self.value))
@@ -331,11 +333,6 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        zero, one = field.zero(), field.one()
-        return cls(field, n, n, [one if i == j else zero for i in range(n) for j in range(n)])
-
-    @classmethod
     def diagonal(cls, field: FieldSpec, diag: Sequence[Scalar]) -> "Matrix":
         n = len(diag)
         zero = field.zero()
@@ -352,20 +349,6 @@ class Matrix:
             raise TypeError("expected Matrix")
         if other.field != self.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("addition shape mismatch")
-        return Matrix(self.field, self.rows, self.cols,
-                      [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("subtraction shape mismatch")
-        return Matrix(self.field, self.rows, self.cols,
-                      [a - b for a, b in zip(self.entries, other.entries)])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check(other)
@@ -385,9 +368,6 @@ class Matrix:
             out.extend(accs)
         return Matrix(self.field, self.rows, ocols, out)
 
-    def scale(self, s: Scalar) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, [s * e for e in self.entries])
-
     def hstack(self, other: "Matrix") -> "Matrix":
         self._check(other)
         if self.rows != other.rows:
@@ -397,9 +377,6 @@ class Matrix:
             flat.extend(self.row(i))
             flat.extend(other.row(i))
         return Matrix(self.field, self.rows, self.cols + other.cols, flat)
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

@@ -8,6 +8,13 @@ with parameters (beta, gamma*), the trace scalars a_i fit a quadratic in
 theta*_i with parameters (gamma, omega, eta*) once the recurrence is used to
 extend theta* one step past each end, and theta*_i != theta*_0 for i >= 1.
 The two routes must always agree; disagreement is an implementation bug.
+
+Condition (i) needs no scan over all d(d+1) ordered pairs.  Since
+v_s[1] = (theta_s - a_0)/b_0 with b_0 != 0, the ratio identity's i = 1 entry
+names the only possible partner of r:
+theta_s = a_0 + b_0 v_r[1] (theta*_1 - a*_r)/(theta*_0 - a*_r).
+So each r costs one a*_r, one lookup in a theta -> index dict and, when the
+lookup hits some s != r, one O(d) ratio check: O(d^2) in all.
 """
 from __future__ import annotations
 
@@ -18,7 +25,7 @@ from .delta import build_delta, path_order
 from .errors import InternalInconsistency, NotConstant, RouteUnavailable
 from .exactmath import Matrix, Scalar, solve_affine
 from .leaf import leaf_by_ratio
-from .system import Spectrum, TridiagonalSystem
+from .system import Spectrum, TridiagonalSystem, dual_a
 
 __all__ = [
     "RecurrenceWitness",
@@ -151,10 +158,13 @@ def solve_witness(sys: TridiagonalSystem) -> Optional[RecurrenceWitness]:
     joint existence over (gamma, omega, eta*) reduces to one linear solve in
     the unknowns (gamma, omega, eta*, parameters).  No sampling is involved.
     """
-    field = sys.field
     sol2 = solve_condition_ii(sys.theta_star)
-    if sol2 is None:
-        return None
+    return None if sol2 is None else _joint_witness(sys, sol2)
+
+
+def _joint_witness(sys: TridiagonalSystem, sol2) -> Optional[RecurrenceWitness]:
+    """solve_witness for a given solution set of condition (ii), as solve_condition_ii returns it."""
+    field = sys.field
     (beta0, gstar0), free = sol2
     k = len(free)
     d = sys.d
@@ -200,6 +210,26 @@ def solve_witness(sys: TridiagonalSystem) -> Optional[RecurrenceWitness]:
     return RecurrenceWitness(beta, gstar, gamma, omega, eta_star, delta_star, ext)
 
 
+def _has_ratio_leaf(sys: TridiagonalSystem, spec: Spectrum) -> bool:
+    """Whether leaf_by_ratio confirms some ordered pair (r, s), r != s.
+
+    Tries, for each r in ascending order, only the partner that the i = 1
+    ratio entry names (see the module docstring).  Every other s fails that
+    entry, so the answer equals the scan over all ordered pairs.
+    """
+    ts = sys.theta_star
+    index = {t: s for s, t in enumerate(spec.theta)}
+    for r in range(sys.d + 1):
+        astar_r = dual_a(sys, spec, r)
+        if astar_r == ts[0]:
+            continue
+        theta_s = sys.a[0] + sys.b[0] * spec.v[r][1] * (ts[1] - astar_r) / (ts[0] - astar_r)
+        s = index.get(theta_s)
+        if s is not None and s != r and leaf_by_ratio(sys, spec, r, s).confirmed:
+            return True
+    return False
+
+
 def is_q_polynomial(sys: TridiagonalSystem, spec: Spectrum,
                     route: str = "direct") -> QPolyVerdict:
     """Decide Q-polynomiality by the requested route.
@@ -218,15 +248,14 @@ def is_q_polynomial(sys: TridiagonalSystem, spec: Spectrum,
     if sys.d < 3:
         raise RouteUnavailable("the theorem route requires d >= 3")
     # (i) some leaf is recognized by the ratio method
-    has_leaf = any(leaf_by_ratio(sys, spec, r, s).confirmed
-                   for r in range(sys.d + 1) for s in range(sys.d + 1) if r != s)
-    if not has_leaf:
+    if not _has_ratio_leaf(sys, spec):
         return QPolyVerdict(False, "theorem", failed_condition="i")
     # (ii) the dual-eigenvalue recurrence is solvable
-    if solve_condition_ii(sys.theta_star) is None:
+    sol2 = solve_condition_ii(sys.theta_star)
+    if sol2 is None:
         return QPolyVerdict(False, "theorem", failed_condition="ii")
     # (iii) jointly with (ii), the trace-scalar fit is solvable
-    witness = solve_witness(sys)
+    witness = _joint_witness(sys, sol2)
     if witness is None:
         return QPolyVerdict(False, "theorem", failed_condition="iii")
     # (iv) theta*_i != theta*_0 for i >= 1

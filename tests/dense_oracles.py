@@ -3,22 +3,53 @@
 These are the textbook constructions, independent of the cosine vectors and
 the dagger diagonal: Lagrange-product idempotents, adjacency from the dense
 products E_i Astar E_j, a*_r as the trace of E_r Astar, and the cubic
-operator identity as n x n products.  The tests compare the production code
-against them exactly.  The dense E_i and the sum A = sum theta_i E_i built from
-the production factors, and the conjugation by K, let the tests check their
-algebra.  The small matrix helpers at the top are for the tests only.
+operator identity as n x n products; and the theorem route with condition
+(i) decided by trying leaf_by_ratio on every ordered pair.  The tests compare
+the production code against them exactly.  The dense E_i and the sum
+A = sum theta_i E_i built from the production factors, and the conjugation by
+K, let the tests check their algebra.  The small matrix helpers at the top
+(construction, identity, sum, difference, scaling, zero test, transpose,
+trace) are for the tests only.
 """
 from __future__ import annotations
 
 from dataclasses import replace
 
+from lpkit.errors import ShapeMismatch
 from lpkit.exactmath import Matrix
+from lpkit.leaf import leaf_by_ratio
+from lpkit.qpoly import solve_condition_ii, solve_witness
 from lpkit.system import _dagger_diagonal, realize_matrices
 
 
 def matrix(field, rows):
     """A matrix from a list of rows of integers, Fractions or Scalars."""
     return Matrix(field, len(rows), len(rows[0]), [field.scalar(x) for row in rows for x in row])
+
+
+def identity(field, n):
+    zero, one = field.zero(), field.one()
+    return Matrix(field, n, n, [one if i == j else zero for i in range(n) for j in range(n)])
+
+
+def add(x, y):
+    if (x.rows, x.cols) != (y.rows, y.cols):
+        raise ShapeMismatch("addition shape mismatch")
+    return Matrix(x.field, x.rows, x.cols, [a + b for a, b in zip(x.entries, y.entries)])
+
+
+def sub(x, y):
+    if (x.rows, x.cols) != (y.rows, y.cols):
+        raise ShapeMismatch("subtraction shape mismatch")
+    return Matrix(x.field, x.rows, x.cols, [a - b for a, b in zip(x.entries, y.entries)])
+
+
+def scale(m, s):
+    return Matrix(m.field, m.rows, m.cols, [s * e for e in m.entries])
+
+
+def is_zero_matrix(m):
+    return all(e.is_zero() for e in m.entries)
 
 
 def transpose(m):
@@ -49,16 +80,16 @@ def lagrange_idempotents(sys_, theta):
     """E_i = prod_{j != i} (A - theta_j I) / (theta_i - theta_j)."""
     a_mat, _ = realize_matrices(sys_)
     n = sys_.d + 1
-    identity = Matrix.identity(sys_.field, n)
+    eye = identity(sys_.field, n)
     out = []
     for i in range(n):
-        acc = identity
+        acc = eye
         denom = sys_.field.one()
         for j in range(n):
             if j != i:
-                acc = acc @ (a_mat - identity.scale(theta[j]))
+                acc = acc @ sub(a_mat, scale(eye, theta[j]))
                 denom = denom * (theta[i] - theta[j])
-        out.append(acc.scale(denom.inverse()))
+        out.append(scale(acc, denom.inverse()))
     return tuple(out)
 
 
@@ -67,7 +98,7 @@ def dense_edges(sys_, idempotents):
     _, astar = realize_matrices(sys_)
     n = len(idempotents)
     return [(i, j) for i in range(n) for j in range(i + 1, n)
-            if not (idempotents[i] @ astar @ idempotents[j]).is_zero()]
+            if not is_zero_matrix(idempotents[i] @ astar @ idempotents[j])]
 
 
 def dense_dual_a(sys_, idempotents, r):
@@ -100,8 +131,28 @@ def dense_aw2(sys_, w):
     = gamma As^2 + omega As + eta* I, as n x n matrix products."""
     a_mat, astar = realize_matrices(sys_)
     as2 = astar @ astar
-    lhs = (as2 @ a_mat - (astar @ a_mat @ astar).scale(w.beta) + a_mat @ as2
-           - (a_mat @ astar + astar @ a_mat).scale(w.gamma_star) - a_mat.scale(w.delta_star))
-    rhs = (as2.scale(w.gamma) + astar.scale(w.omega)
-           + Matrix.identity(sys_.field, sys_.d + 1).scale(w.eta_star))
+    lhs = sub(add(as2 @ a_mat, a_mat @ as2), scale(astar @ a_mat @ astar, w.beta))
+    lhs = sub(lhs, scale(add(a_mat @ astar, astar @ a_mat), w.gamma_star))
+    lhs = sub(lhs, scale(a_mat, w.delta_star))
+    rhs = add(add(scale(as2, w.gamma), scale(astar, w.omega)),
+              scale(identity(sys_.field, sys_.d + 1), w.eta_star))
     return lhs == rhs
+
+
+def ratio_pair_scan(sys_, spec):
+    """Condition (i) by the full scan: leaf_by_ratio on all d(d+1) ordered pairs."""
+    n = sys_.d + 1
+    return any(leaf_by_ratio(sys_, spec, r, s).confirmed for r in range(n) for s in range(n) if r != s)
+
+
+def pair_scan_theorem_route(sys_, spec):
+    """(qpoly, failed_condition) of the theorem route, condition (i) by ratio_pair_scan."""
+    if not ratio_pair_scan(sys_, spec):
+        return False, "i"
+    if solve_condition_ii(sys_.theta_star) is None:
+        return False, "ii"
+    if solve_witness(sys_) is None:
+        return False, "iii"
+    if any(t == sys_.theta_star[0] for t in sys_.theta_star[1:]):
+        return False, "iv"
+    return True, None

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from dense_oracles import rank_one_idempotents
+from dense_oracles import is_zero_matrix, rank_one_idempotents
 from lpkit.delta import DeltaGraph, astar_invariance, build_delta, is_connected, path_order
 from lpkit.errors import IndexOutOfRange
 from lpkit.exactmath import RATIONALS, rank
@@ -79,7 +79,7 @@ def test_adjacency_matches_rank_one_products(random_corpus):
                     assert rank(prod) == 1
                     assert rank(idempotents[i].hstack(prod)) == 1
                 else:
-                    assert prod.is_zero()
+                    assert is_zero_matrix(prod)
 
 
 def test_connectivity_when_theta_star_distinct(random_corpus):

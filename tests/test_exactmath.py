@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import matrix
+from dense_oracles import identity, matrix
 from lpkit.errors import DivisionByZero, FieldMismatch, ParseError, ShapeMismatch
 from lpkit.exactmath import (GF, RATIONALS, Matrix, Poly, char_poly_oracle,
                              poly_roots_in_field, rank, solve_affine)
@@ -48,6 +48,28 @@ def test_field_mismatch_raises():
         RATIONALS.one() + GF7.one()
 
 
+def test_equal_fields_built_apart_mix():
+    # the identity shortcut must not reject an equal FieldSpec that is another object
+    first, second = GF(101), GF(101)
+    assert first is not second
+    x, y = first.scalar(40), second.scalar(40)
+    assert (x + y).value == 80 and (y * x).value == 1600 % 101 and (x - y).is_zero()
+    assert x == y and hash(x) == hash(y)
+    assert x / y == first.one() and second.scalar(x) is x
+
+
+def test_distinct_fields_never_mix():
+    pairs = [(GF7.scalar(3), GF(11).scalar(3)), (RATIONALS.scalar(3), GF7.scalar(3)),
+             (GF7.scalar(3), RATIONALS.scalar(3))]
+    for x, y in pairs:
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y):
+            with pytest.raises(FieldMismatch):
+                op()
+        assert x != y
+    with pytest.raises(FieldMismatch):
+        GF(11).scalar(GF7.scalar(3))
+
+
 def test_parse_scalar_rejects_floats():
     for bad in ("0.5", "1e3", "2.0", ".7"):
         with pytest.raises(ParseError):
@@ -59,7 +81,7 @@ def test_parse_scalar_rejects_floats():
 
 def test_matrix_basics():
     x = matrix(RATIONALS, [[1, 2], [3, 4]])
-    eye = Matrix.identity(RATIONALS, 2)
+    eye = identity(RATIONALS, 2)
     assert eye @ x == x
     diag = Matrix.diagonal(RATIONALS, [RATIONALS.scalar(v) for v in (2, 0, -2)])
     assert diag @ diag == matrix(RATIONALS, [[4, 0, 0], [0, 0, 0], [0, 0, 4]])
@@ -81,13 +103,13 @@ def test_k2_matrix_square():
 
 def test_rank_examples():
     assert rank(matrix(RATIONALS, [[0] * 3] * 3)) == 0
-    assert rank(Matrix.identity(RATIONALS, 4)) == 4
+    assert rank(identity(RATIONALS, 4)) == 4
     e0 = matrix(RATIONALS, [[Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]] * 3)
     assert rank(e0) == 1
 
 
 def test_solve_affine_identity():
-    eye = Matrix.identity(RATIONALS, 3)
+    eye = identity(RATIONALS, 3)
     v = [RATIONALS.scalar(k) for k in (1, 2, 3)]
     particular, null = solve_affine(eye, v)
     assert list(particular) == v

@@ -3,13 +3,17 @@ from __future__ import annotations
 
 import pytest
 
-from dense_oracles import bumped_witnesses
+from collections import Counter
+
+from dense_oracles import bumped_witnesses, pair_scan_theorem_route, ratio_pair_scan
+import lpkit.leaf
+import lpkit.qpoly
 from lpkit.errors import NotConstant, RouteUnavailable
-from lpkit.exactmath import RATIONALS
-from lpkit.instances import mutate_theta_star
+from lpkit.exactmath import GF, RATIONALS, Matrix, solve_affine
+from lpkit.instances import affine_transform, gen_krawtchouk, gen_random, mutate_theta_star
 from lpkit.qpoly import (compute_delta_star, extend_dual_eigenvalues,
                          is_q_polynomial, solve_condition_ii, solve_witness, verify_aw2)
-from lpkit.system import compute_spectrum, make_system
+from lpkit.system import TridiagonalSystem, compute_spectrum, make_system
 
 
 def _scalars(*values):
@@ -160,3 +164,70 @@ def test_route_agreement_random(random_corpus):
         d = is_q_polynomial(sys_, spec, route="direct")
         t = is_q_polynomial(sys_, spec, route="theorem")
         assert d.qpoly == t.qpoly
+
+
+def _single_theta_star_mutants(sys_):
+    """theta*_k replaced by another theta*_j (a collision), or by theta*_k + 1, for every k."""
+    ts = sys_.theta_star
+    one = sys_.field.one()
+    return [mutate_theta_star(sys_, k, value) for k in range(sys_.d + 1)
+            for value in [t for j, t in enumerate(ts) if j != k] + [ts[k] + one]]
+
+
+def _plant_leaf(sys_, spec, r, s):
+    """The system with a non-constant theta* that makes the forms of r with every j != s vanish."""
+    n = sys_.d + 1
+    rows = [[kk * spec.v[r][k] * spec.v[j][k] for k, kk in enumerate(spec.k)]
+            for j in range(n) if j not in (r, s)]
+    _, basis = solve_affine(Matrix(sys_.field, len(rows), n, [x for row in rows for x in row]),
+                            [sys_.field.zero()] * len(rows))
+    theta_star = next(v for v in basis if any(x != v[0] for x in v))
+    return TridiagonalSystem(sys_.d, sys_.a, sys_.b, sys_.c, tuple(theta_star), sys_.field)
+
+
+def test_theorem_route_matches_the_full_pair_scan(full_corpus, random_corpus):
+    # the corpus, the affine images of criterion 5, the single-theta* mutants of Krawtchouk
+    # d = 3..8 over Q and GF(101) (mutating theta* leaves A and its spectrum alone), planted
+    # leaves, which fail (ii) or (iii), and alternating theta* = (0, 1, 0, 1), which fails (iv)
+    cases = [(sys_, spec) for sys_, spec in full_corpus if sys_.d >= 3]
+    for sys_, _ in list(cases):
+        if sys_.field == RATIONALS:
+            for params in ((1, 5, 1, 0), (2, 0, 3, 1)):
+                image = affine_transform(sys_, *params)
+                cases.append((image, compute_spectrum(image)))
+    for field in (RATIONALS, GF(101)):
+        for d in range(3, 9):
+            sys_, theta = gen_krawtchouk(d, field)
+            spec = compute_spectrum(sys_, theta_hint=theta)
+            cases += [(mutant, spec) for mutant in _single_theta_star_mutants(sys_)]
+    sources = [(sys_, spec) for sys_, spec in random_corpus if sys_.d >= 3][:40]
+    cases += [(_plant_leaf(sys_, spec, k % (sys_.d + 1), (k + 2) % (sys_.d + 1)), spec)
+              for k, (sys_, spec) in enumerate(sources)]
+    for p, a, b, c in ((13, [10, 6, 10, 6], [4, 2, 8], [1, 7, 7]),
+                       (7, [0, 3, 0, 3], [6, 2, 4], [6, 1, 5])):
+        sys_ = make_system(GF(p), a, b, c, [0, 1, 0, 1])
+        cases.append((sys_, compute_spectrum(sys_)))
+    seen = Counter()
+    for sys_, spec in cases:
+        verdict = is_q_polynomial(sys_, spec, route="theorem")
+        assert (verdict.qpoly, verdict.failed_condition) == pair_scan_theorem_route(sys_, spec)
+        seen[verdict.failed_condition] += 1
+    assert set(seen) == {None, "i", "ii", "iii", "iv"} and len(cases) == 762
+
+
+def test_theorem_route_condition_i_is_linear_in_dual_a_calls(monkeypatch):
+    # a leafless d = 8 pair: the full pair scan computes a*_r d(d+1) = 72 times
+    sys_ = gen_random(8, GF(10007), 0)
+    spec = compute_spectrum(sys_)
+    assert not ratio_pair_scan(sys_, spec)
+    calls = []
+    original = lpkit.qpoly.dual_a
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lpkit.qpoly, "dual_a", counting)
+    monkeypatch.setattr(lpkit.leaf, "dual_a", counting)
+    assert is_q_polynomial(sys_, spec, route="theorem").failed_condition == "i"
+    assert 0 < len(calls) <= 2 * (sys_.d + 1)
