@@ -8,8 +8,9 @@ input is rejected at parse time.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .errors import DivisionByZero, FieldMismatch, NonDecimalScalar, ParseError, ShapeMismatch
@@ -37,6 +38,8 @@ class FieldSpec:
 
     kind: str  # "rationals" | "prime"
     modulus: Optional[int] = None
+    # derived from kind once, so Scalar arithmetic reads an attribute; not part of == or hash
+    is_prime_field: bool = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "rationals":
@@ -47,10 +50,11 @@ class FieldSpec:
                 raise ValueError(f"modulus {self.modulus!r} is not prime")
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
+        object.__setattr__(self, "is_prime_field", self.kind == "prime")
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.kind == "prime"
+    def reduce(self, value: Union[int, Fraction]) -> Union[int, Fraction]:
+        """The canonical value of a raw sum or product: the residue mod p over GF(p), itself over Q."""
+        return value % self.modulus if self.is_prime_field else value
 
     def scalar(self, value: Union[int, Fraction, "Scalar"]) -> "Scalar":
         """Embed an integer or Fraction into this field."""
@@ -354,19 +358,15 @@ class Matrix:
         self._check(other)
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        zero = self.field.zero()
-        out = []
-        ocols = other.cols
-        for i in range(self.rows):
-            arow = self.entries[i * self.cols:(i + 1) * self.cols]
-            accs = [zero] * ocols
-            for k, a in enumerate(arow):
-                if a.is_zero():
-                    continue
-                brow = other.entries[k * ocols:(k + 1) * ocols]
-                accs = [acc + a * b for acc, b in zip(accs, brow)]
-            out.extend(accs)
-        return Matrix(self.field, self.rows, ocols, out)
+        # raw values: one sum of products and one reduction per entry
+        field = self.field
+        zero = field.zero().value
+        left = [e.value for e in self.entries]
+        right = [e.value for e in other.entries]
+        rows = [left[i * self.cols:(i + 1) * self.cols] for i in range(self.rows)]
+        cols = [right[j::other.cols] for j in range(other.cols)]
+        out = [Scalar(field, field.reduce(sum(map(mul, row, col), zero))) for row in rows for col in cols]
+        return Matrix(field, self.rows, other.cols, out)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         self._check(other)

@@ -25,7 +25,7 @@ from typing import Optional
 from .errors import (CharacteristicTooSmall, GenerationFailed, IndexOutOfRange,
                      InternalInconsistency, NonDecimalScalar, ParseError, ZeroScale)
 from .exactmath import GF, RATIONALS, FieldSpec, Scalar, poly_roots_in_field
-from .modular import powmod
+from .modular import linear_powmod
 from .system import TridiagonalSystem, char_poly, make_system, validate_system
 
 __all__ = [
@@ -107,7 +107,7 @@ def _multiplicity_free(sys: TridiagonalSystem) -> bool:
     if not field.is_prime_field:
         return len(poly_roots_in_field(cp)) == sys.d + 1
     p = field.modulus
-    return powmod([0, 1], p, [c.value for c in cp.coeffs], p) == [0, 1]
+    return linear_powmod(0, p, [c.value for c in cp.coeffs], p) == [0, 1]
 
 
 def _distinct_residues(rng: random.Random, p: int, count: int) -> list[int]:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Optional
+from operator import mul
+from typing import Iterator, Optional
 
 from .errors import InternalInconsistency
 
-__all__ = ["is_prime", "powmod", "prime_field_roots", "rational_roots"]
+__all__ = ["is_prime", "linear_powmod", "prime_field_roots", "rational_roots"]
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -128,28 +129,65 @@ def _divmod_residues(a: list[int], b: list[int], p: int) -> tuple[list[int], lis
     return quo, _trim(rem[:db])
 
 
-def _mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    """a * b mod f."""
-    if not a or not b:
+def _monic(f: list[int], p: int) -> list[int]:
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _pack(coeffs: list[int], width: int) -> int:
+    """The integer with coeffs in consecutive slots of width bytes, lowest first."""
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
+
+
+def _unpack(value: int, count: int, width: int, p: int) -> list[int]:
+    """The lowest count slots of value, each reduced mod p."""
+    raw = value.to_bytes(count * width, "little")
+    return [int.from_bytes(raw[k:k + width], "little") % p for k in range(0, count * width, width)]
+
+
+def _times_linear(a: list[int], shift: int, f: list[int], p: int) -> list[int]:
+    """a (x + shift) mod a monic f, for a of deg f coefficients (trailing zeros kept)."""
+    top = a[-1]
+    return [(shift * a[0] - top * f[0]) % p] + [
+        (x + shift * y - top * z) % p for x, y, z in zip(a, a[1:], f[1:-1])]
+
+
+def _prefix_powers(shift: int, e: int, f: list[int], p: int) -> Iterator[list[int]]:
+    """Yield (x + shift)^(e >> k) mod a monic f of degree n >= 1 for k = b-1, ..., 0.
+
+    b is the bit length of e (1 for e = 0), so the last value is the power
+    itself.  Left to right, one bit per step: a squaring, then on a set bit
+    a multiply by x + shift in O(n).  The square is one integer squaring of
+    the coefficients packed into slots wide enough for every unreduced sum
+    below 2 n p^2 (Kronecker substitution).  Its slots above x^(n-1) are
+    reduced mod p and folded back through the packed x^(n+m) mod f,
+    m = 0..n-2, so each coefficient is reduced once per step.
+    """
+    n = len(f) - 1
+    width = (2 * p.bit_length() + n.bit_length() + 8) // 8
+    folds = []
+    row = [-c % p for c in f[:-1]]  # x^n mod f
+    for _ in range(n - 1):
+        folds.append(_pack(row, width))
+        row = _times_linear(row, 0, f, p)
+    low_mask = (1 << (8 * width * n)) - 1
+    coeffs = [1] + [0] * (n - 1)
+    for bit in bin(e)[2:]:
+        packed = _pack(coeffs, width)
+        square = packed * packed
+        high = _unpack(square >> (8 * width * n), n - 1, width, p)
+        coeffs = _unpack((square & low_mask) + sum(map(mul, high, folds)), n, width, p)
+        if bit == "1":
+            coeffs = _times_linear(coeffs, shift, f, p)
+        yield _trim(list(coeffs))
+
+
+def linear_powmod(shift: int, e: int, f: list[int], p: int) -> list[int]:
+    """(x + shift)^e mod a nonzero residue list f, by left-to-right powering."""
+    if len(f) < 2:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _divmod_residues([c % p for c in out], f, p)[1]
-
-
-def powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    """base^e mod f, by square-and-multiply."""
-    result = _divmod_residues([1], f, p)[1]
-    base = _divmod_residues(base, f, p)[1]
-    while e:
-        if e & 1:
-            result = _mulmod(result, base, f, p)
-        base = _mulmod(base, base, f, p)
-        e >>= 1
-    return result
+    *_, power = _prefix_powers(shift % p, e, _monic(f, p), p)
+    return power
 
 
 def _sub_residues(a: list[int], b: list[int], p: int) -> list[int]:
@@ -162,10 +200,7 @@ def _gcd_residues(a: list[int], b: list[int], p: int) -> list[int]:
     """The monic gcd of a and b (the zero polynomial when both are zero)."""
     while b:
         a, b = b, _divmod_residues(a, b, p)[1]
-    if not a:
-        return a
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
+    return _monic(a, p) if a else a
 
 
 def _deflate_residues(a: list[int], r: int, p: int) -> tuple[list[int], int]:
@@ -178,14 +213,16 @@ def _deflate_residues(a: list[int], r: int, p: int) -> tuple[list[int], int]:
     return quo, (acc * r + a[0]) % p
 
 
-def _split_linear(g: list[int], shift: int, p: int, roots: list[int]) -> None:
+def _split_linear(g: list[int], shift: int, p: int, roots: list[int],
+                  power: Optional[list[int]] = None) -> None:
     """Append the roots of g, a monic product of distinct linear factors over GF(p).
 
     Equal-degree splitting with deterministic shifts a = shift, shift+1, ...:
     gcd(g, (x + a)^((p-1)/2) - 1) collects the roots r with r + a a nonzero
     square.  The factor x + a is divided out first, so every residue is
     reached by the time a has run through GF(p); for p = 2 that alone
-    finds the roots.
+    finds the roots.  power, when given, is (x + shift)^((p-1)/2) reduced
+    mod a multiple of g, so the first split needs no powering of its own.
     """
     while len(g) > 2:
         quo, value = _deflate_residues(g, -shift % p, p)
@@ -193,7 +230,10 @@ def _split_linear(g: list[int], shift: int, p: int, roots: list[int]) -> None:
             roots.append(-shift % p)
             g = quo
             continue
-        h = _gcd_residues(g, _sub_residues(powmod([shift % p, 1], (p - 1) // 2, g, p), [1], p), p)
+        if power is None:
+            power = linear_powmod(shift, (p - 1) // 2, g, p)
+        h = _gcd_residues(g, _sub_residues(_divmod_residues(power, g, p)[1], [1], p), p)
+        power = None
         shift += 1
         if 2 <= len(h) < len(g):
             _split_linear(h, shift, p, roots)
@@ -206,13 +246,16 @@ def _roots_mod_p(f: list[int], p: int) -> list[int]:
     """The distinct roots in GF(p) of a nonzero residue list f, ascending.
 
     gcd(f, x^p - x) is the product of the distinct linear factors of f;
-    equal-degree splitting takes it apart.  O(d^2 log p) operations mod p.
+    equal-degree splitting takes it apart.  For odd p, x^p is the square of
+    x^((p-1)/2) times x, and that x^((p-1)/2) is also the first splitting
+    power.  O(d^2 log p) operations mod p.
     """
     if len(f) < 2:
         return []
-    g = _gcd_residues(f, _sub_residues(powmod([0, 1], p, f, p), [0, 1], p), p)
+    *_, half, xp = _prefix_powers(0, p, _monic(f, p), p)  # x^(p >> 1), x^p
+    g = _gcd_residues(f, _sub_residues(xp, [0, 1], p), p)
     roots: list[int] = []
-    _split_linear(g, 0, p, roots)
+    _split_linear(g, 0, p, roots, half if p % 2 else None)
     return sorted(roots)
 
 

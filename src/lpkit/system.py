@@ -219,10 +219,10 @@ def dual_a(sys: TridiagonalSystem, spec: Spectrum, r: int) -> Scalar:
     """
     if not 0 <= r <= sys.d:
         raise IndexOutOfRange(f"index {r} out of 0..{sys.d}")
-    acc = sys.field.zero()
-    for kk, t, x in zip(spec.k, sys.theta_star, spec.v[r]):
-        acc = acc + kk * t * x * x
-    return acc / spec.norm[r]
+    # raw values: one sum, one reduction, then one division by n_r
+    total = sum(kk.value * t.value * x.value * x.value
+                for kk, t, x in zip(spec.k, sys.theta_star, spec.v[r]))
+    return Scalar(sys.field, sys.field.reduce(total)) / spec.norm[r]
 
 
 def _dagger_diagonal(sys: TridiagonalSystem) -> tuple[Scalar, ...]:

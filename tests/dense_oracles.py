@@ -8,8 +8,8 @@ operator identity as n x n products; and the theorem route with condition
 the production code against them exactly.  The dense E_i and the sum
 A = sum theta_i E_i built from the production factors, and the conjugation by
 K, let the tests check their algebra.  The small matrix helpers at the top
-(construction, identity, sum, difference, scaling, zero test, transpose,
-trace) are for the tests only.
+(construction, the textbook product, identity, sum, difference, scaling,
+zero test, transpose, trace) are for the tests only.
 """
 from __future__ import annotations
 
@@ -25,6 +25,20 @@ from lpkit.system import _dagger_diagonal, realize_matrices
 def matrix(field, rows):
     """A matrix from a list of rows of integers, Fractions or Scalars."""
     return Matrix(field, len(rows), len(rows[0]), [field.scalar(x) for row in rows for x in row])
+
+
+def naive_matmul(x, y):
+    """The textbook product: each entry a running Scalar sum of Scalar products."""
+    if x.cols != y.rows:
+        raise ShapeMismatch("product shape mismatch")
+    entries = []
+    for i in range(x.rows):
+        for j in range(y.cols):
+            acc = x.field.zero()
+            for k in range(x.cols):
+                acc = acc + x.at(i, k) * y.at(k, j)
+            entries.append(acc)
+    return Matrix(x.field, x.rows, y.cols, entries)
 
 
 def identity(field, n):

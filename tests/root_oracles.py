@@ -4,14 +4,16 @@ Over GF(p) every residue is evaluated; over the rationals every p/q with p
 dividing the constant term and q the leading coefficient of the
 integer-scaled polynomial is tried.  Both cost time exponential in the size
 of the input, so the tests run them on small fields and small coefficients
-only and compare the production finder against them exactly.
+only and compare the production finder against them exactly.  The powering
+oracle multiplies ``Poly`` values and divides by f with ``Poly.divmod``, so
+it shares no code with ``modular.linear_powmod``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
 
-from lpkit.exactmath import Poly, Scalar
+from lpkit.exactmath import GF, Poly, Scalar
 
 
 def _int_divisors(n: int) -> list[int]:
@@ -79,3 +81,25 @@ def divisor_roots(p: Poly) -> list[tuple[Scalar, int]]:
                 roots.append((point, mult))
     roots.sort(key=lambda rm: rm[0].sort_key())
     return roots
+
+
+def repeated_powmod(shift: int, e: int, f: list[int], p: int) -> list[int]:
+    """(x + shift)^e mod f over GF(p) by repeated multiplication with Poly arithmetic.
+
+    Above 64 the exponent is halved, (x + shift)^e = ((x + shift)^(e // 2))^2
+    (x + shift)^(e % 2), because e = (p - 1)/2 and e = p are out of reach of
+    plain repetition for large p.  f need not be monic.
+    """
+    field = GF(p)
+    modulus = Poly(field, [field.scalar(c) for c in f])
+    base = Poly(field, [field.scalar(shift), field.one()])
+    if e > 64:
+        half = Poly(field, [field.scalar(c) for c in repeated_powmod(shift, e // 2, f, p)])
+        out = (half * half).divmod(modulus)[1]
+        if e % 2:
+            out = (out * base).divmod(modulus)[1]
+    else:
+        out = Poly.constant(field, 1).divmod(modulus)[1]
+        for _ in range(e):
+            out = (out * base).divmod(modulus)[1]
+    return [c.value for c in out.coeffs]

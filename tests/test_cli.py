@@ -220,6 +220,15 @@ def test_source_has_no_unused_imports():
         assert name == "__init__.py" or not unused, f"{name}: unused imports {sorted(unused)}"
 
 
+def test_modular_works_on_raw_values():
+    # modular.py takes and returns ints and Fractions; exactmath converts at its boundary
+    tree = SOURCES["modular.py"]
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    names = {alias.name.split(".")[-1] for node in imports for alias in node.names}
+    modules = {(node.module or "").split(".")[-1] for node in imports if isinstance(node, ast.ImportFrom)}
+    assert not names & {"Scalar", "Poly", "exactmath"} and "exactmath" not in modules
+
+
 def test_source_all_lists_exactly_the_public_definitions():
     # a stale export, or a public def/class left out of __all__, fails here
     for name, tree in SOURCES.items():

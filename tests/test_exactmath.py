@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import identity, matrix
+from dense_oracles import identity, matrix, naive_matmul
 from lpkit.errors import DivisionByZero, FieldMismatch, ParseError, ShapeMismatch
 from lpkit.exactmath import (GF, RATIONALS, Matrix, Poly, char_poly_oracle,
                              poly_roots_in_field, rank, solve_affine)
@@ -92,6 +92,48 @@ def test_matrix_shape_mismatch():
     y = matrix(RATIONALS, [[1, 2, 3]])
     with pytest.raises(ShapeMismatch):
         x @ y
+
+
+_FIELDS = [RATIONALS, GF(2), GF101, GF(2**61 - 1)]
+
+
+@st.composite
+def _products(draw):
+    field = draw(st.sampled_from(_FIELDS))
+    rows, inner, cols = (draw(st.integers(0, 4)) for _ in range(3))
+    values = st.just(0) | st.integers(-10**20, 10**20) | st.fractions(max_denominator=50)
+    if field.is_prime_field:  # a Fraction whose denominator vanishes mod p has no image
+        values = values.filter(lambda v: Fraction(v).denominator % field.modulus)
+
+    def entries(n, m):
+        return Matrix(field, n, m, [field.scalar(v) for v in draw(st.lists(values, min_size=n * m,
+                                                                             max_size=n * m))])
+
+    return entries(rows, inner), entries(inner, cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_products())
+def test_matmul_matches_the_textbook_product(pair):
+    # zero entries, empty and non-square shapes over Q and GF(p); exact values, exact types
+    x, y = pair
+    product, expected = x @ y, naive_matmul(x, y)
+    assert product == expected
+    assert [type(e.value) for e in product.entries] == [type(e.value) for e in expected.entries]
+    assert [str(e) for e in product.entries] == [str(e) for e in expected.entries]
+    if x.cols != x.rows:
+        with pytest.raises(ShapeMismatch):
+            x @ x
+    other = GF7 if x.field != GF7 else RATIONALS
+    with pytest.raises(FieldMismatch):
+        x @ Matrix(other, y.rows, y.cols, [other.zero()] * (y.rows * y.cols))
+
+
+def test_field_spec_compares_and_hashes_on_kind_and_modulus():
+    # is_prime_field is derived once and stays out of ==, hash and repr
+    assert GF(7) == GF7 and hash(GF7) == hash(("prime", 7)) and GF7 != RATIONALS
+    assert GF7.is_prime_field and not RATIONALS.is_prime_field
+    assert repr(GF7) == "FieldSpec(kind='prime', modulus=7)"
 
 
 def test_k2_matrix_square():

@@ -7,15 +7,16 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+import lpkit.modular
 from lpkit.cli import main
 from lpkit.exactmath import GF, RATIONALS, Poly, poly_roots_in_field
 from lpkit.instances import affine_transform, gen_krawtchouk, gen_random
-from lpkit.modular import is_prime
+from lpkit.modular import is_prime, linear_powmod
 from lpkit.system import compute_spectrum
-from root_oracles import divisor_roots, scan_roots
+from root_oracles import divisor_roots, repeated_powmod, scan_roots
 
 PSEUDOPRIME = 3317044064679887385961981  # 1287836182261 * 2575672364521
 M61 = 2**61 - 1
@@ -116,6 +117,56 @@ def test_rational_root_needs_the_full_lifting_bound():
     assert [(r.value, m) for r, m in found] == [(Fraction(b, a), 1)]
 
 
+@st.composite
+def _powerings(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 101, 10007, M61]))
+    residues = st.integers(0, p - 1) | st.sampled_from([0, p - 1])  # p - 1 fills the slots most
+    degree = draw(st.integers(1, 16))  # degrees past 8 fill the slots of the packed square
+    f = draw(st.lists(residues, min_size=degree, max_size=degree)) + [draw(st.integers(1, p - 1))]
+    return draw(residues), draw(st.sampled_from([0, 1, (p - 1) // 2, p])), f, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_powerings())
+@example((100, 101, [100] * 16 + [1], 101))  # the largest slot sums at p = 101, degree 16
+def test_linear_powmod_matches_repeated_multiplication(case):
+    # f is drawn with any nonzero leading coefficient, so non-monic moduli are covered
+    shift, e, f, p = case
+    assert linear_powmod(shift, e, f, p) == repeated_powmod(shift, e, f, p)
+
+
+def test_root_finding_powers_once_at_full_degree(monkeypatch):
+    # x^((p-1)/2), met on the way to x^p, is reused as the first splitting power
+    calls, powerings = [], []
+    find, power = lpkit.modular._roots_mod_p, lpkit.modular._prefix_powers
+
+    def counting_find(f, p):
+        calls.append(len(f) - 1)
+        return find(f, p)
+
+    def counting_power(shift, e, f, p):
+        powerings.append(len(f) - 1)
+        return power(shift, e, f, p)
+
+    monkeypatch.setattr(lpkit.modular, "_roots_mod_p", counting_find)
+    monkeypatch.setattr(lpkit.modular, "_prefix_powers", counting_power)
+    # f splits into distinct linear factors, so the first split is mod f itself; residues
+    # and non-residues mod p both among the roots make that split proper
+    p = 10007
+    assert {pow(r, (p - 1) // 2, p) for r in range(1, 9)} == {1, p - 1}
+    found = poly_roots_in_field(_product(GF(p), 3, range(1, 9), [1]))
+    assert [r.value for r, _ in found] == list(range(1, 9))
+    assert calls == [8] and powerings.count(8) == 1
+    calls.clear()
+    powerings.clear()
+    # over Q the roots are found mod the first prime q >= 2^20 that keeps f squarefree: 1048583
+    q = 1048583
+    assert {pow(r % q, (q - 1) // 2, q) for r in (-3, 2, 5, 7)} == {1, q - 1}
+    found = poly_roots_in_field(_product(RATIONALS, Fraction(2, 3), [-3, 2, 5, 7], [1]))
+    assert [r.value for r, _ in found] == [-3, 2, 5, 7]
+    assert calls == [4] and powerings.count(4) == 1
+
+
 def test_primality_is_baillie_psw():
     assert not is_prime(PSEUDOPRIME)  # a strong pseudoprime to every base up to 37
     assert is_prime(M61) and is_prime(M127)
@@ -149,6 +200,12 @@ def test_gate_spectrum_of_a_random_pair_over_gf_m61():
     with _wall_bound(5):
         spec = compute_spectrum(gen_random(16, GF(M61), 0))
     assert len(spec.theta) == 17
+
+
+def test_gate_spectrum_of_a_d64_random_pair_over_gf_m61():
+    with _wall_bound(5):
+        spec = compute_spectrum(gen_random(64, GF(M61), 0))
+    assert len(spec.theta) == 65
 
 
 @pytest.mark.parametrize("d", [16, 24, 32])
