@@ -213,18 +213,69 @@ def _deflate_residues(a: list[int], r: int, p: int) -> tuple[list[int], int]:
     return quo, (acc * r + a[0]) % p
 
 
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of a nonzero square a modulo an odd prime p.
+
+    One powering when p = 3 mod 4; otherwise Tonelli-Shanks with the first
+    non-residue among z = 2, 3, ...  For a non-square a the result does not
+    square to a.
+    """
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while _jacobi(z, p) != -1:
+        z += 1
+    c, t, root = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:  # invariant: root^2 = a t, and t has order 2^i with i < s
+        i, t2 = 0, t
+        while t2 != 1 and i < s:
+            t2 = t2 * t2 % p
+            i += 1
+        if i == s:  # t has order 2^s: a is not a square
+            return root
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, root = i, b * b % p, t * b * b % p, root * b % p
+    return root
+
+
+def _quadratic_roots(g: list[int], p: int) -> list[int]:
+    """The two roots (-b +- sqrt(D))/2, D = b^2 - 4c, of a monic x^2 + bx + c over GF(p), p odd.
+
+    g has two distinct roots in GF(p), so D is a nonzero square; anything
+    else is an internal error.
+    """
+    c, b, _ = g
+    disc = (b * b - 4 * c) % p
+    if disc == 0:
+        raise InternalInconsistency(f"quadratic factor with a double root mod {p}")
+    root = _sqrt_mod(disc, p)
+    if root * root % p != disc:
+        raise InternalInconsistency(f"quadratic factor without roots mod {p}")
+    half = (p + 1) // 2
+    return [(root - b) * half % p, (-root - b) * half % p]
+
+
 def _split_linear(g: list[int], shift: int, p: int, roots: list[int],
                   power: Optional[list[int]] = None) -> None:
     """Append the roots of g, a monic product of distinct linear factors over GF(p).
 
-    Equal-degree splitting with deterministic shifts a = shift, shift+1, ...:
-    gcd(g, (x + a)^((p-1)/2) - 1) collects the roots r with r + a a nonzero
-    square.  The factor x + a is divided out first, so every residue is
-    reached by the time a has run through GF(p); for p = 2 that alone
-    finds the roots.  power, when given, is (x + shift)^((p-1)/2) reduced
-    mod a multiple of g, so the first split needs no powering of its own.
+    For odd p a quadratic g is solved in closed form by one modular square
+    root.  Larger g are taken apart by equal-degree splitting with
+    deterministic shifts a = shift, shift+1, ...: gcd(g, (x + a)^((p-1)/2) - 1)
+    collects the roots r with r + a a nonzero square.  The factor x + a is
+    divided out first, so every residue is reached by the time a has run
+    through GF(p); for p = 2 that alone finds the roots.  power, when given,
+    is (x + shift)^((p-1)/2) reduced mod a multiple of g, so the first split
+    needs no powering of its own.
     """
     while len(g) > 2:
+        if len(g) == 3 and p % 2:
+            roots.extend(_quadratic_roots(g, p))
+            return
         quo, value = _deflate_residues(g, -shift % p, p)
         if not value:
             roots.append(-shift % p)
@@ -364,7 +415,8 @@ def _rational_candidates(f: list[Fraction]) -> list[Fraction]:
 def prime_field_roots(f: list[int], p: int) -> list[tuple[int, int]]:
     """The roots of a nonzero residue list f in GF(p), ascending, with multiplicities.
 
-    Multiplicities come from exact deflation of f.
+    Multiplicities come from exact deflation of f; a candidate that does not
+    divide f is an internal error.
     """
     out = []
     for r in _roots_mod_p(f, p):
@@ -375,6 +427,8 @@ def prime_field_roots(f: list[int], p: int) -> list[tuple[int, int]]:
                 break
             f = quo
             mult += 1
+        if not mult:
+            raise InternalInconsistency(f"{r} is not a root mod {p}")
         out.append((r, mult))
     return out
 

@@ -35,11 +35,22 @@ def _deflate(p: Poly, root: Scalar) -> Poly:
 
 
 def scan_roots(p: Poly) -> list[tuple[Scalar, int]]:
-    """Roots over GF(p) by evaluating every residue, with multiplicities."""
+    """Roots over GF(p) by evaluating every residue, with multiplicities.
+
+    Each residue is first tried by Horner's rule on plain ints, which keeps
+    the scan fast at p near 2^16; the roots it finds are then deflated as Polys.
+    """
     field = p.field
+    modulus = field.modulus
     roots = []
     work = p
-    for r in range(field.modulus):
+    top = [c.value for c in reversed(work.coeffs)]
+    for r in range(modulus):
+        value = 0
+        for c in top:
+            value = (value * r + c) % modulus
+        if value:
+            continue
         point = Scalar(field, r)
         mult = 0
         while work.degree >= 1 and work(point).is_zero():
@@ -49,6 +60,7 @@ def scan_roots(p: Poly) -> list[tuple[Scalar, int]]:
             roots.append((point, mult))
         if work.degree < 1:
             break
+        top = [c.value for c in reversed(work.coeffs)]
     return roots
 
 

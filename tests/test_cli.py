@@ -125,6 +125,47 @@ def test_rebase_denied(k2_file):
     assert main(["rebase", k2_file, "--theta", "0"]) == 1
 
 
+def _rewrite_hint(path, theta):
+    """Replace the theta line of an instance file (drop it when theta is None)."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("theta ")]
+    path.write_text("\n".join(lines + ([f"theta {theta}"] if theta is not None else [])) + "\n")
+
+
+@pytest.mark.parametrize("field", [[], ["--field", "101"]])
+@pytest.mark.parametrize("theta, error", [
+    ("3 1 -1 7", "HintInvalid: 7 is not an eigenvalue"),
+    ("3 1 1 -3", "HintInvalid: hint contains duplicates"),
+    # a hint of the wrong length never reaches compute_spectrum: the parser rejects it
+    ("3 1 -1", "ParseError: field 'theta' has 3 entries, expected 4"),
+])
+def test_invalid_hint_exits_2(tmp_path, capsys, field, theta, error):
+    path = tmp_path / "hinted.lp"
+    assert main(["gen", "krawtchouk", "--d", "3", "-o", str(path)] + field) == 0
+    _rewrite_hint(path, theta)
+    for command in ("check", "delta", "verify-aw2"):
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_a_non_root_from_the_finder_exits_2(tmp_path, monkeypatch, capsys):
+    # a residue the splitting reports but that does not divide f is an internal error, never
+    # a root of multiplicity 0
+    import lpkit.modular
+    path = tmp_path / "random.lp"
+    assert main(["gen", "random", "--d", "3", "--field", "101", "-o", str(path)]) == 0
+    _rewrite_hint(path, None)
+    real = lpkit.modular._roots_mod_p
+
+    def with_a_non_root(f, p):
+        roots = real(f, p)
+        return roots + [next(r for r in range(p) if r not in roots)]
+
+    monkeypatch.setattr(lpkit.modular, "_roots_mod_p", with_a_non_root)
+    assert main(["check", str(path), "--machine"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InternalInconsistency: ") and err.endswith(" is not a root mod 101\n")
+
+
 def test_missing_file():
     assert main(["check", "definitely-missing.lp"]) == 2
 

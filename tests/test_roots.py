@@ -1,6 +1,7 @@
 """Root finding and primality: exact agreement with the exhaustive oracles, and time gates."""
 from __future__ import annotations
 
+import random
 import signal
 import time
 from contextlib import contextmanager
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 
 import lpkit.modular
 from lpkit.cli import main
+from lpkit.errors import InternalInconsistency
 from lpkit.exactmath import GF, RATIONALS, Poly, poly_roots_in_field
 from lpkit.instances import affine_transform, gen_krawtchouk, gen_random
-from lpkit.modular import is_prime, linear_powmod
+from lpkit.modular import _quadratic_roots, _sqrt_mod, is_prime, linear_powmod
 from lpkit.system import compute_spectrum
 from root_oracles import divisor_roots, repeated_powmod, scan_roots
 
@@ -37,7 +39,9 @@ def _product(field, lead, roots, extra):
 
 @st.composite
 def _prime_field_polys(draw):
-    p = draw(st.sampled_from([2, 3, 5, 7, 101, 10007]))
+    # p - 1 for 17, 97, 257, 10009 and 65537 has 2-adic order 4, 5, 8, 3 and 16, so quadratic
+    # factors there take the Tonelli-Shanks loop; 3, 7, 10007 take the single powering
+    p = draw(st.sampled_from([2, 3, 5, 7, 17, 97, 101, 257, 10007, 10009, 65537]))
     roots = draw(st.lists(st.integers(0, min(p - 1, 12)) | st.integers(0, p - 1), max_size=6))
     extra = draw(st.lists(st.integers(0, p - 1), max_size=4)) + [draw(st.integers(1, p - 1))]
     return _product(GF(p), draw(st.integers(1, p - 1)), roots, extra)
@@ -165,6 +169,41 @@ def test_root_finding_powers_once_at_full_degree(monkeypatch):
     found = poly_roots_in_field(_product(RATIONALS, Fraction(2, 3), [-3, 2, 5, 7], [1]))
     assert [r.value for r, _ in found] == [-3, 2, 5, 7]
     assert calls == [4] and powerings.count(4) == 1
+    # for odd p, quadratic factors are solved by a square root: no powering at degree 2
+    assert 2 not in powerings
+    calls.clear()
+    powerings.clear()
+    # over GF(2), x^2 + x splits by dividing out x + 0: only the full-degree x^p
+    found = poly_roots_in_field(_poly(GF(2), [0, 1, 1]))
+    assert [(r.value, m) for r, m in found] == [(0, 1), (1, 1)]
+    assert calls == [2] and powerings == [2]
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 17, 97, 257])
+def test_square_root_of_every_nonzero_square(p):
+    # p = 3 mod 4 takes one powering, the rest Tonelli-Shanks (2-adic order of p - 1 up to 8)
+    squares = {x * x % p for x in range(1, p)}
+    for a in squares:
+        assert _sqrt_mod(a, p) ** 2 % p == a
+    for a in set(range(1, p)) - squares:
+        assert _sqrt_mod(a, p) ** 2 % p != a
+
+
+def test_square_root_on_a_sample_mod_m61():
+    rng = random.Random(61)
+    for _ in range(200):
+        a = rng.randrange(1, M61) ** 2 % M61
+        assert _sqrt_mod(a, M61) ** 2 % M61 == a
+
+
+@pytest.mark.parametrize("p", [13, 17, 10009, 65537, M61])
+def test_quadratic_without_two_distinct_roots_is_an_internal_error(p):
+    nonresidue = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    assert sorted(_quadratic_roots([p - 6, p - 1, 1], p)) == [3, p - 2]  # (x - 3)(x + 2)
+    with pytest.raises(InternalInconsistency, match="double root"):
+        _quadratic_roots([4, p - 4, 1], p)  # (x - 2)^2
+    with pytest.raises(InternalInconsistency, match="without roots"):
+        _quadratic_roots([p - nonresidue, 0, 1], p)  # x^2 - z, z a non-residue
 
 
 def test_primality_is_baillie_psw():

@@ -83,12 +83,17 @@ def test_hint_invalid():
     bad = [RATIONALS.scalar(v) for v in (2, 0, 1)]
     spec = compute_spectrum(sys_, theta_hint=good)
     assert [t.value for t in spec.theta] == [2, 0, -2]  # hint order preserved
-    with pytest.raises(HintInvalid):
+    with pytest.raises(HintInvalid, match="^1 is not an eigenvalue$"):
         compute_spectrum(sys_, theta_hint=bad)
-    with pytest.raises(HintInvalid):
+    with pytest.raises(HintInvalid, match="^hint has 2 values, expected 3$"):
         compute_spectrum(sys_, theta_hint=good[:2])
-    with pytest.raises(HintInvalid):
+    with pytest.raises(HintInvalid, match="^hint contains duplicates$"):
         compute_spectrum(sys_, theta_hint=[good[0]] * 3)
+    # the count is checked before duplicates, and both before any value
+    with pytest.raises(HintInvalid, match="^hint has 2 values, expected 3$"):
+        compute_spectrum(sys_, theta_hint=[bad[2]] * 2)
+    with pytest.raises(HintInvalid, match="^hint contains duplicates$"):
+        compute_spectrum(sys_, theta_hint=[bad[2]] * 3)
 
 
 def test_dual_a():
