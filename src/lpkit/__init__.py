@@ -8,10 +8,9 @@ floating point anywhere.
 """
 from __future__ import annotations
 
-from .cosine import (CosineSequence, PolynomialSequence, char_poly,
-                     constant_row_sum, cosine_sequence, rebase_to_row_sum,
+from .cosine import (constant_row_sum, cosine_sequence, rebase_to_row_sum,
                      rescale_superdiagonal, u_polys)
-from .delta import DeltaGraph, astar_invariance, build_delta, is_connected, path_order
+from .delta import DeltaGraph, astar_invariance, build_delta, path_order
 from .errors import LpkitError
 from .exactmath import GF, RATIONALS, FieldSpec, Matrix, Poly, Scalar, rank
 from .instances import (Instance, affine_transform, gen_krawtchouk,
@@ -21,7 +20,7 @@ from .leaf import (LeafVerdict, appendix_a, appendix_b, leaf_by_ratio,
                    leaf_by_recurrence, leaf_by_subspace)
 from .qpoly import (QPolyVerdict, RecurrenceWitness, is_q_polynomial,
                     solve_witness, verify_aw2)
-from .system import (Spectrum, TridiagonalSystem, compute_spectrum, dual_a,
+from .system import (Spectrum, TridiagonalSystem, char_poly, compute_spectrum, dual_a,
                      make_system, realize_matrices, validate_system)
 
 __version__ = "0.1.0"

@@ -1,26 +1,22 @@
 """Three-term-recurrence polynomial sequences, cosine sequences, and rescaling.
 
 The u_i sequence satisfies lambda*u_i = c_i u_{i-1} + a_i u_i + b_i u_{i+1}
-with u_0 = 1; the monic p_i sequence (``system.monic_polys``) is the same
-recurrence written in the normalized basis (all superdiagonal entries 1).
-The top polynomial u_{d+1} is the characteristic polynomial of A, and the
-evaluations u_i(theta) at an eigenvalue theta are the coordinates of the
-corresponding eigenvector.
+with u_0 = 1; it is the monic p_i sequence (``system.monic_polys``) divided
+by b_0...b_{i-1}, the same recurrence written in the normalized basis (all
+superdiagonal entries 1).  The top polynomial u_{d+1} = p_{d+1} is the
+characteristic polynomial of A, and the evaluations u_i(theta) at an
+eigenvalue theta are the coordinates of the corresponding eigenvector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import CosineVanishes, InternalInconsistency, NotAnEigenvalue, ZeroTarget
 from .exactmath import Poly, Scalar
-from .system import TridiagonalSystem, char_poly, cosine_recurrence
+from .system import TridiagonalSystem, cosine_recurrence, monic_polys
 
 __all__ = [
-    "PolynomialSequence",
-    "CosineSequence",
     "u_polys",
-    "char_poly",
     "cosine_sequence",
     "rescale_superdiagonal",
     "constant_row_sum",
@@ -28,52 +24,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PolynomialSequence:
-    """u_0..u_{d+1} with exact coefficients."""
-
-    u: tuple[Poly, ...]
-
-
-@dataclass(frozen=True)
-class CosineSequence:
-    """The evaluations u_i(theta) at an eigenvalue theta; alpha_0 = 1."""
-
-    alpha: tuple[Scalar, ...]
-    theta: Scalar
+def u_polys(sys: TridiagonalSystem) -> tuple[Poly, ...]:
+    """u_0..u_{d+1}: u_i = p_i/(b_0...b_{i-1}) for i <= d, and u_{d+1} = p_{d+1}; deg u_i = i."""
+    p = monic_polys(sys)
+    scale = [sys.field.one()]
+    for b in sys.b:
+        scale.append(scale[-1] / b)
+    return tuple(q * s for q, s in zip(p, scale)) + (p[-1],)
 
 
-def u_polys(sys: TridiagonalSystem) -> PolynomialSequence:
-    """The recurrence sequence for the stored feasible basis.
-
-    deg u_i = i; the leading coefficient of u_i is 1/(b_0...b_{i-1}) for
-    i <= d and 1 for the final polynomial u_{d+1}.
-    """
-    field = sys.field
-    lam = Poly.x(field)
-    seq = [Poly.constant(field, 1)]
-    prev = Poly(field, [])  # u_{-1} = 0
-    for i in range(sys.d):
-        # b_i u_{i+1} = (lambda - a_i) u_i - c_i u_{i-1}
-        rhs = lam * seq[i] - seq[i] * sys.a[i] - prev * sys.sub(i)
-        nxt = rhs * sys.sup(i).inverse()
-        prev = seq[i]
-        seq.append(nxt)
-    # final step: u_{d+1}/(b_0...b_{d-1}) = (lambda - a_d) u_d - c_d u_{d-1}
-    b_prod = field.one()
-    for x in sys.b:
-        b_prod = b_prod * x
-    top = (lam * seq[sys.d] - seq[sys.d] * sys.a[sys.d] - prev * sys.sub(sys.d)) * b_prod
-    seq.append(top)
-    return PolynomialSequence(tuple(seq))
-
-
-def cosine_sequence(sys: TridiagonalSystem, theta: Scalar) -> CosineSequence:
+def cosine_sequence(sys: TridiagonalSystem, theta: Scalar) -> tuple[Scalar, ...]:
     """Evaluations (u_0(theta), ..., u_d(theta)); theta must be an eigenvalue."""
     alpha, residual = cosine_recurrence(sys, theta)
     if not residual.is_zero():
         raise NotAnEigenvalue(f"{theta} is not an eigenvalue of A")
-    return CosineSequence(alpha, theta)
+    return alpha
 
 
 def rescale_superdiagonal(sys: TridiagonalSystem, targets: Sequence[Scalar]) -> TridiagonalSystem:
@@ -100,7 +65,7 @@ def constant_row_sum(sys: TridiagonalSystem) -> Optional[Scalar]:
     if any(s != sums[0] for s in sums):
         return None
     theta = sums[0]
-    alpha = cosine_sequence(sys, theta).alpha  # raises if not an eigenvalue
+    alpha = cosine_sequence(sys, theta)  # raises if not an eigenvalue
     if any(x != sys.field.one() for x in alpha):
         raise InternalInconsistency("row-sum cosines must be all ones")
     return theta
@@ -112,7 +77,7 @@ def rebase_to_row_sum(sys: TridiagonalSystem, theta: Scalar) -> TridiagonalSyste
     Possible exactly when no cosine u_i(theta) vanishes; the construction
     uses superdiagonal targets b_{i-1} * u_i(theta)/u_{i-1}(theta).
     """
-    alpha = cosine_sequence(sys, theta).alpha
+    alpha = cosine_sequence(sys, theta)
     for i, x in enumerate(alpha):
         if x.is_zero():
             raise CosineVanishes(i)

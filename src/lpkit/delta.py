@@ -19,7 +19,6 @@ from .system import Spectrum, TridiagonalSystem
 __all__ = [
     "DeltaGraph",
     "build_delta",
-    "is_connected",
     "path_order",
     "astar_invariance",
 ]
@@ -67,47 +66,25 @@ def build_delta(sys: TridiagonalSystem, spec: Spectrum) -> DeltaGraph:
     return DeltaGraph(n, adj)
 
 
-def is_connected(g: DeltaGraph) -> bool:
-    if g.n == 0:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
-
-
 def path_order(g: DeltaGraph) -> Optional[tuple[int, ...]]:
     """Vertex order along the graph when it is a path, else None.
 
-    Of the two endpoint-starting orders, the one starting at the smaller
-    vertex label is returned.  A single vertex is trivially a path.
+    One walk from the smallest vertex of degree 1, each step to the only
+    neighbour other than the vertex it came from.  Every vertex the walk
+    passes has degree 2, so it never returns to one it has visited; the
+    graph is a path exactly when the walk ends at a second vertex of
+    degree 1 after visiting all n vertices.  So the order starts at the
+    smaller endpoint.  A single vertex is trivially a path.
     """
-    if g.n == 1:
-        return (0,)
-    if not is_connected(g):
-        return None
-    if len(g.edges()) != g.n - 1:
-        return None
-    degrees = [g.degree(i) for i in range(g.n)]
-    if any(deg > 2 for deg in degrees):
-        return None
-    endpoints = [i for i, deg in enumerate(degrees) if deg == 1]
-    if len(endpoints) != 2:
-        return None
-    order = [min(endpoints)]
-    prev = None
-    while len(order) < g.n:
-        nxt = [w for w in g.neighbors(order[-1]) if w != prev]
-        if len(nxt) != 1:
-            return None
-        prev = order[-1]
-        order.append(nxt[0])
-    return tuple(order)
+    ends = [i for i in range(g.n) if g.degree(i) == 1]
+    if not ends:
+        return (0,) if g.n == 1 else None
+    order = [ends[0]]
+    step = g.neighbors(ends[0])
+    while len(step) == 1:
+        order.append(step[0])
+        step = [w for w in g.neighbors(step[0]) if w != order[-2]]
+    return tuple(order) if not step and len(order) == g.n else None
 
 
 def astar_invariance(sys: TridiagonalSystem, spec: Spectrum, s: Iterable[int]) -> bool:
@@ -121,7 +98,8 @@ def astar_invariance(sys: TridiagonalSystem, spec: Spectrum, s: Iterable[int]) -
     if s[0] < 0 or s[-1] > sys.d:
         raise IndexOutOfRange(f"index set {s} not within 0..{sys.d}")
     n = sys.d + 1
-    basis = Matrix(sys.field, n, len(s), [spec.v[h][k] for k in range(n) for h in s])
-    image = Matrix(sys.field, n, len(s),
-                   [t * spec.v[h][k] for k, t in enumerate(sys.theta_star) for h in s])
-    return rank(basis) == rank(basis.hstack(image))
+    rows = [[spec.v[h][k] for h in s] for k in range(n)]
+    basis = Matrix(sys.field, n, len(s), [x for row in rows for x in row])
+    augmented = Matrix(sys.field, n, 2 * len(s),
+                       [x for row, t in zip(rows, sys.theta_star) for x in row + [t * y for y in row]])
+    return rank(basis) == rank(augmented)

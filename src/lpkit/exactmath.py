@@ -237,11 +237,6 @@ class Poly:
     def coeff(self, k: int) -> Scalar:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.field.zero()
 
-    def leading(self) -> Scalar:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __add__(self, other: "Poly") -> "Poly":
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(self.field, [self.coeff(k) + other.coeff(k) for k in range(n)])
@@ -266,9 +261,6 @@ class Poly:
                 out[i + j] = out[i + j] + a * b
         return Poly(self.field, out)
 
-    def scale(self, s: Scalar) -> "Poly":
-        return self * s
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
@@ -283,22 +275,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc
-
-    def divmod(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact polynomial division with remainder."""
-        if divisor.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = divisor.degree
-        lead_inv = divisor.leading().inverse()
-        quo = [self.field.zero()] * max(0, len(rem) - dn)
-        for k in range(len(rem) - dn - 1, -1, -1):
-            q = rem[k + dn] * lead_inv
-            quo[k] = q
-            if not q.is_zero():
-                for j, dcoef in enumerate(divisor.coeffs):
-                    rem[k + j] = rem[k + j] - q * dcoef
-        return Poly(self.field, quo), Poly(self.field, rem[:dn])
 
     def __str__(self):
         if self.is_zero():
@@ -367,16 +343,6 @@ class Matrix:
         cols = [right[j::other.cols] for j in range(other.cols)]
         out = [Scalar(field, field.reduce(sum(map(mul, row, col), zero))) for row in rows for col in cols]
         return Matrix(field, self.rows, other.cols, out)
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        if self.rows != other.rows:
-            raise ShapeMismatch("hstack row mismatch")
-        flat = []
-        for i in range(self.rows):
-            flat.extend(self.row(i))
-            flat.extend(other.row(i))
-        return Matrix(self.field, self.rows, self.cols + other.cols, flat)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -508,7 +474,7 @@ def char_poly_oracle(m: Matrix) -> Poly:
     return Poly(field, list(reversed(coeffs_hi_first)))
 
 
-def poly_roots_in_field(p: Poly, field: Optional[FieldSpec] = None) -> list[tuple[Scalar, int]]:
+def poly_roots_in_field(p: Poly) -> list[tuple[Scalar, int]]:
     """All roots of p lying in the ground field, with multiplicities.
 
     Over GF(p): gcd with x^p - x and equal-degree splitting.  Over the
@@ -516,10 +482,7 @@ def poly_roots_in_field(p: Poly, field: Optional[FieldSpec] = None) -> list[tupl
     reconstruction.  Either way each root's multiplicity comes from exact
     deflation, and roots are returned in canonical order.
     """
-    if field is None:
-        field = p.field
-    if p.field != field:
-        raise FieldMismatch("polynomial field does not match requested field")
+    field = p.field
     if p.is_zero():
         raise ValueError("the zero polynomial has no well-defined root set")
     coeffs = [c.value for c in p.coeffs]

@@ -24,8 +24,8 @@ from typing import Optional
 
 from .errors import (CharacteristicTooSmall, GenerationFailed, IndexOutOfRange,
                      InternalInconsistency, NonDecimalScalar, ParseError, ZeroScale)
-from .exactmath import GF, RATIONALS, FieldSpec, Scalar, poly_roots_in_field
-from .modular import linear_powmod
+from .exactmath import GF, RATIONALS, FieldSpec, Scalar
+from .modular import divmod_residues, linear_powmod, monic
 from .system import TridiagonalSystem, char_poly, make_system, validate_system
 
 __all__ = [
@@ -37,6 +37,8 @@ __all__ = [
     "parse_instance",
     "serialize_instance",
 ]
+
+_MAX_RETRIES = 50  # gen_random's draws of eigenvalues before it gives up
 
 
 @dataclass(frozen=True)
@@ -96,18 +98,13 @@ def mutate_theta_star(sys: TridiagonalSystem, k: int, value) -> TridiagonalSyste
 
 
 def _multiplicity_free(sys: TridiagonalSystem) -> bool:
-    """True when A splits into d+1 distinct in-field eigenvalues.
+    """True when A, over GF(p), splits into d+1 distinct eigenvalues.
 
-    Over GF(p) the characteristic polynomial f is squarefree by
-    construction, so it splits exactly when x^p = x mod f; this avoids a
-    root search on every generator retry.
+    The characteristic polynomial f is squarefree by construction, so it
+    splits exactly when x^p = x mod f; this avoids a root search.
     """
-    cp = char_poly(sys)
-    field = sys.field
-    if not field.is_prime_field:
-        return len(poly_roots_in_field(cp)) == sys.d + 1
-    p = field.modulus
-    return linear_powmod(0, p, [c.value for c in cp.coeffs], p) == [0, 1]
+    p = sys.field.modulus
+    return linear_powmod(0, p, [c.value for c in char_poly(sys).coeffs], p) == [0, 1]
 
 
 def _distinct_residues(rng: random.Random, p: int, count: int) -> list[int]:
@@ -119,75 +116,61 @@ def _distinct_residues(rng: random.Random, p: int, count: int) -> list[int]:
     return out
 
 
-def _tridiagonal_from_charpoly(field: FieldSpec, target, rng: random.Random, p: int):
+def _tridiagonal_from_charpoly(target: list[int], rng: random.Random, p: int):
     """Recover diagonal a_i and products w_i = b_{i-1} c_i with char poly = target.
 
     Runs the Euclidean three-term-recurrence algorithm downward from the
-    target and a random monic companion of one degree less.  Returns
-    (a, w) or None on breakdown (degenerate remainder), which is rare.
+    monic residue list target and a random monic companion of one degree
+    less.  Returns (a, w) as residues, or None on breakdown (degenerate
+    remainder), which is rare.
     """
-    from .exactmath import Poly
-
-    n = target.degree  # = d + 1
-    lower = Poly(field, [field.scalar(rng.randrange(p)) for _ in range(n - 1)] + [field.one()])
-    hi, lo = target, lower
+    hi, lo = target, [rng.randrange(p) for _ in range(len(target) - 2)] + [1]
     a_rev = []
     w_rev = []
-    for _ in range(n - 1):
-        q, r = hi.divmod(lo)
-        a_rev.append(-q.coeff(0))
-        if r.degree != lo.degree - 1:
+    while len(lo) > 1:
+        q, r = divmod_residues(hi, lo, p)
+        a_rev.append(-q[0] % p)
+        if len(r) != len(lo) - 1:
             return None
-        w = -r.leading()
-        a = r.scale(r.leading().inverse())  # monic next polynomial
-        w_rev.append(w)
-        hi, lo = lo, a
-    q, r = hi.divmod(lo)
-    if not r.is_zero():
-        return None
-    a_rev.append(-q.coeff(0))
-    return list(reversed(a_rev)), list(reversed(w_rev))
+        w_rev.append(-r[-1] % p)
+        hi, lo = lo, monic(r, p)
+    a_rev.append(-hi[0] % p)  # hi = x - a_0 once lo is the constant 1
+    return a_rev[::-1], w_rev[::-1]
 
 
-def gen_random(d: int, field: FieldSpec, seed: int, max_retries: int = 50) -> TridiagonalSystem:
+def gen_random(d: int, field: FieldSpec, seed: int) -> TridiagonalSystem:
     """A random valid system over GF(p) with distinct theta* and multiplicity-free A.
 
     Samples d+1 distinct eigenvalues first and then recovers matching
     tridiagonal data, so multiplicity-freeness holds by construction rather
     than by rejection.  Deterministic for a given seed; raises
-    GenerationFailed when retries run out.
+    GenerationFailed when _MAX_RETRIES draws all break down.
     """
     if not field.is_prime_field:
         raise ValueError("random generation targets prime fields")
-    from .exactmath import Poly
-
     p = field.modulus
     if p <= 2 * (d + 1):
         raise GenerationFailed(f"p = {p} too small for {d + 1} distinct eigenvalues")
     rng = random.Random(seed)
-    one = field.one()
-    for _ in range(max_retries):
-        theta = _distinct_residues(rng, p, d + 1)
-        target = Poly.constant(field, 1)
-        for t in theta:
-            target = target * Poly(field, [field.scalar(-t), one])
-        recovered = _tridiagonal_from_charpoly(field, target, rng, p)
+    for _ in range(_MAX_RETRIES):
+        target = [1]
+        for t in _distinct_residues(rng, p, d + 1):  # target *= x - t
+            target = [(x - t * y) % p for x, y in zip([0] + target, target + [0])]
+        recovered = _tridiagonal_from_charpoly(target, rng, p)
         if recovered is None:
             continue
         a, w = recovered
-        b = [field.scalar(rng.randrange(1, p)) for _ in range(d)]
-        if any(x.is_zero() for x in w):
+        b = [rng.randrange(1, p) for _ in range(d)]
+        if 0 in w:
             continue
-        c = [w[k] / b[k] for k in range(d)]
-        theta_star = _distinct_residues(rng, p, d + 1)
-        sys = TridiagonalSystem(d, tuple(a), tuple(b), tuple(c),
-                                tuple(field.scalar(t) for t in theta_star), field)
+        c = [x * pow(y, -1, p) for x, y in zip(w, b)]
+        sys = make_system(field, a, b, c, _distinct_residues(rng, p, d + 1))
         if validate_system(sys):
             continue
         if not _multiplicity_free(sys):
             raise InternalInconsistency("construction must yield a split spectrum")
         return sys
-    raise GenerationFailed(f"no multiplicity-free instance in {max_retries} tries")
+    raise GenerationFailed(f"no multiplicity-free instance in {_MAX_RETRIES} tries")
 
 
 def serialize_instance(inst: Instance) -> str:

@@ -1,4 +1,4 @@
-"""Algorithms on plain integers: primality, and root finding over GF(p) and Q.
+"""Algorithms on plain integers: primality, residue-list division, and root finding over GF(p) and Q.
 
 Polynomials over GF(p) are residue lists: ints in [0, p), low degree first,
 with no trailing zeros (the zero polynomial is []).  Polynomials over Q are
@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 
 from .errors import InternalInconsistency
 
-__all__ = ["is_prime", "linear_powmod", "prime_field_roots", "rational_roots"]
+__all__ = ["is_prime", "divmod_residues", "monic", "linear_powmod", "prime_field_roots", "rational_roots"]
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -112,7 +112,7 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _divmod_residues(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+def divmod_residues(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     """Quotient and remainder of a by a nonzero b."""
     rem = list(a)
     db = len(b) - 1
@@ -129,7 +129,8 @@ def _divmod_residues(a: list[int], b: list[int], p: int) -> tuple[list[int], lis
     return quo, _trim(rem[:db])
 
 
-def _monic(f: list[int], p: int) -> list[int]:
+def monic(f: list[int], p: int) -> list[int]:
+    """f divided by its leading coefficient."""
     inv = pow(f[-1], -1, p)
     return [c * inv % p for c in f]
 
@@ -186,7 +187,7 @@ def linear_powmod(shift: int, e: int, f: list[int], p: int) -> list[int]:
     """(x + shift)^e mod a nonzero residue list f, by left-to-right powering."""
     if len(f) < 2:
         return []
-    *_, power = _prefix_powers(shift % p, e, _monic(f, p), p)
+    *_, power = _prefix_powers(shift % p, e, monic(f, p), p)
     return power
 
 
@@ -199,8 +200,8 @@ def _sub_residues(a: list[int], b: list[int], p: int) -> list[int]:
 def _gcd_residues(a: list[int], b: list[int], p: int) -> list[int]:
     """The monic gcd of a and b (the zero polynomial when both are zero)."""
     while b:
-        a, b = b, _divmod_residues(a, b, p)[1]
-    return _monic(a, p) if a else a
+        a, b = b, divmod_residues(a, b, p)[1]
+    return monic(a, p) if a else a
 
 
 def _deflate_residues(a: list[int], r: int, p: int) -> tuple[list[int], int]:
@@ -283,12 +284,12 @@ def _split_linear(g: list[int], shift: int, p: int, roots: list[int],
             continue
         if power is None:
             power = linear_powmod(shift, (p - 1) // 2, g, p)
-        h = _gcd_residues(g, _sub_residues(_divmod_residues(power, g, p)[1], [1], p), p)
+        h = _gcd_residues(g, _sub_residues(divmod_residues(power, g, p)[1], [1], p), p)
         power = None
         shift += 1
         if 2 <= len(h) < len(g):
             _split_linear(h, shift, p, roots)
-            g = _divmod_residues(g, h, p)[0]
+            g = divmod_residues(g, h, p)[0]
     if len(g) == 2:
         roots.append(-g[0] % p)
 
@@ -303,7 +304,7 @@ def _roots_mod_p(f: list[int], p: int) -> list[int]:
     """
     if len(f) < 2:
         return []
-    *_, half, xp = _prefix_powers(0, p, _monic(f, p), p)  # x^(p >> 1), x^p
+    *_, half, xp = _prefix_powers(0, p, monic(f, p), p)  # x^(p >> 1), x^p
     g = _gcd_residues(f, _sub_residues(xp, [0, 1], p), p)
     roots: list[int] = []
     _split_linear(g, 0, p, roots, half if p % 2 else None)

@@ -9,7 +9,8 @@ the production code against them exactly.  The dense E_i and the sum
 A = sum theta_i E_i built from the production factors, and the conjugation by
 K, let the tests check their algebra.  The small matrix helpers at the top
 (construction, the textbook product, identity, sum, difference, scaling,
-zero test, transpose, trace) are for the tests only.
+zero test, transpose, trace, side-by-side join) and the connectivity test
+of an adjacency graph are for the tests only.
 """
 from __future__ import annotations
 
@@ -72,6 +73,23 @@ def transpose(m):
 
 def trace(m):
     return sum((m.at(i, i) for i in range(m.rows)), m.field.zero())
+
+
+def hstack(x, y):
+    """The matrix [x | y]."""
+    return Matrix(x.field, x.rows, x.cols + y.cols, [e for i in range(x.rows) for e in x.row(i) + y.row(i)])
+
+
+def is_connected(g):
+    """Whether every vertex of an adjacency graph is reachable from vertex 0."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in g.neighbors(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.n
 
 
 def rank_one_idempotents(spec):

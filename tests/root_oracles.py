@@ -5,8 +5,8 @@ dividing the constant term and q the leading coefficient of the
 integer-scaled polynomial is tried.  Both cost time exponential in the size
 of the input, so the tests run them on small fields and small coefficients
 only and compare the production finder against them exactly.  The powering
-oracle multiplies ``Poly`` values and divides by f with ``Poly.divmod``, so
-it shares no code with ``modular.linear_powmod``.
+oracle multiplies ``Poly`` values and divides by f with the schoolbook
+``_divmod`` below, so it shares no code with ``modular.linear_powmod``.
 """
 from __future__ import annotations
 
@@ -29,9 +29,22 @@ def _int_divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def _divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder of a by a nonzero b, by schoolbook long division."""
+    rem = list(a.coeffs)
+    n = b.degree
+    inv = b.coeffs[-1].inverse()
+    quo = [a.field.zero()] * max(0, len(rem) - n)
+    for k in range(len(quo) - 1, -1, -1):
+        quo[k] = rem[k + n] * inv
+        for j, c in enumerate(b.coeffs):
+            rem[k + j] = rem[k + j] - quo[k] * c
+    return Poly(a.field, quo), Poly(a.field, rem[:n])
+
+
 def _deflate(p: Poly, root: Scalar) -> Poly:
     """p / (x - root) for a root of p."""
-    return p.divmod(Poly(p.field, [-root, p.field.one()]))[0]
+    return _divmod(p, Poly(p.field, [-root, p.field.one()]))[0]
 
 
 def scan_roots(p: Poly) -> list[tuple[Scalar, int]]:
@@ -107,11 +120,11 @@ def repeated_powmod(shift: int, e: int, f: list[int], p: int) -> list[int]:
     base = Poly(field, [field.scalar(shift), field.one()])
     if e > 64:
         half = Poly(field, [field.scalar(c) for c in repeated_powmod(shift, e // 2, f, p)])
-        out = (half * half).divmod(modulus)[1]
+        out = _divmod(half * half, modulus)[1]
         if e % 2:
-            out = (out * base).divmod(modulus)[1]
+            out = _divmod(out * base, modulus)[1]
     else:
-        out = Poly.constant(field, 1).divmod(modulus)[1]
+        out = _divmod(Poly.constant(field, 1), modulus)[1]
         for _ in range(e):
-            out = (out * base).divmod(modulus)[1]
+            out = _divmod(out * base, modulus)[1]
     return [c.value for c in out.coeffs]

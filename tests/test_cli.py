@@ -246,6 +246,14 @@ def test_source_has_no_assert_statements():
         assert not found, f"{name}: assert on lines {found}"
 
 
+def test_source_imports_only_at_module_level():
+    # a function-local import hides a dependency from the module's header
+    for name, tree in SOURCES.items():
+        found = [inner.lineno for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                 for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))]
+        assert not found, f"{name}: import inside a function on lines {found}"
+
+
 def _imported(tree):
     return {(alias.asname or alias.name).split(".")[0] for node in tree.body
             if isinstance(node, (ast.Import, ast.ImportFrom))
