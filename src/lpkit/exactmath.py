@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -55,6 +56,30 @@ class FieldSpec:
     def reduce(self, value: Union[int, Fraction]) -> Union[int, Fraction]:
         """The canonical value of a raw sum or product: the residue mod p over GF(p), itself over Q."""
         return value % self.modulus if self.is_prime_field else value
+
+    def cleared(self, values: Sequence[Union[int, Fraction]]) -> tuple[Sequence[int], int]:
+        """Integers and one positive denominator with values[i] = ints[i]/den.
+
+        Over Q the denominator is the least common one; over GF(p) the
+        residues are already integers, so they come back as given with
+        den = 1.  A zero test, or a ratio of two forms, is unchanged when a
+        vector is scaled by den, so the forms can run on plain integers.
+        """
+        if self.is_prime_field:
+            return values, 1
+        den = lcm(*(v.denominator for v in values))
+        return [v.numerator * (den // v.denominator) for v in values], den
+
+    def quotient(self, num: int, den: int) -> "Scalar":
+        """The field element num/den of two integers, for den nonzero in the field."""
+        if self.is_prime_field:
+            p = self.modulus
+            if den % p == 0:
+                raise DivisionByZero("quotient by zero")
+            return Scalar(self, num * pow(den, -1, p) % p)
+        if den == 0:
+            raise DivisionByZero("quotient by zero")
+        return Scalar(self, Fraction(num, den))
 
     def scalar(self, value: Union[int, Fraction, "Scalar"]) -> "Scalar":
         """Embed an integer or Fraction into this field."""
@@ -334,14 +359,13 @@ class Matrix:
         self._check(other)
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        # raw values: one sum of products and one reduction per entry
+        # integer forms: each row and column cleared once, one quotient per entry
         field = self.field
-        zero = field.zero().value
-        left = [e.value for e in self.entries]
-        right = [e.value for e in other.entries]
-        rows = [left[i * self.cols:(i + 1) * self.cols] for i in range(self.rows)]
-        cols = [right[j::other.cols] for j in range(other.cols)]
-        out = [Scalar(field, field.reduce(sum(map(mul, row, col), zero))) for row in rows for col in cols]
+        left = [field.cleared([e.value for e in self.entries[i * self.cols:(i + 1) * self.cols]])
+                for i in range(self.rows)]
+        right = [field.cleared([e.value for e in other.entries[j::other.cols]]) for j in range(other.cols)]
+        out = [field.quotient(sum(map(mul, row, col)), row_den * col_den)
+               for row, row_den in left for col, col_den in right]
         return Matrix(field, self.rows, other.cols, out)
 
     def __eq__(self, other):
@@ -360,33 +384,47 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field})"
 
 
-def _echelon(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
+def _echelon(rows: Sequence[Sequence[Scalar]], field: FieldSpec) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination: (pivot rows, pivot columns).
+
+    Each row is cleared of denominators once, and the elimination runs on
+    those integers, since rows may be scaled freely.  A pivot is the first
+    entry of its column, from the current row down, that is nonzero in the
+    field.  Each step replaces every other row by
+    (pivot * row - f * pivot_row) / previous pivot, f the row's entry in the
+    pivot column.  The division is exact (Bareiss: every entry is a minor of
+    the cleared input), so the integers stay polynomial in size.  Row r of
+    the result is zero in every pivot column but pivots[r]; divided by that
+    entry it is row r of the reduced echelon form.
+    """
+    rows = [field.cleared([e.value for e in row])[0] for row in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots = []
+    prev = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        pivot = next((k for k in range(r, nrows) if not rows[k][c].is_zero()), None)
+        pivot = next((k for k in range(r, nrows) if field.reduce(rows[k][c])), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
+        top = rows[r]
+        p = top[c]
         for k in range(nrows):
-            if k != r and not rows[k][c].is_zero():
+            if k != r:
                 f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+                rows[k] = [(p * x - f * y) // prev for x, y in zip(rows[k], top)]
+        prev = p
         pivots.append(c)
         r += 1
-    return rows, pivots
+    return rows[:r], pivots
 
 
 def rank(m: Matrix) -> int:
-    """Rank by exact Gauss-Jordan elimination."""
-    _, pivots = _echelon([m.row(i) for i in range(m.rows)])
+    """Rank by exact fraction-free Gauss-Jordan elimination."""
+    _, pivots = _echelon([m.row(i) for i in range(m.rows)], m.field)
     return len(pivots)
 
 
@@ -397,31 +435,29 @@ def solve_affine(m: Matrix, b: Sequence[Scalar]):
     (particular solution, nullspace basis) where both are lists of Scalar
     column vectors.  An empty nullspace basis means the solution is unique.
     """
-    b = list(b)
+    field = m.field
+    b = [field.scalar(x) for x in b]
     if len(b) != m.rows:
         raise ShapeMismatch("right-hand side length mismatch")
-    field = m.field
     n = m.cols
-    aug = [m.row(i) + [b[i]] for i in range(m.rows)]
-    if not aug:
+    zero, one = field.zero(), field.one()
+    if not b:
         # no constraints: everything solves
-        zero, one = field.zero(), field.one()
         basis = [[one if i == j else zero for i in range(n)] for j in range(n)]
         return [zero] * n, basis
-    rows, pivots = _echelon(aug)
+    rows, pivots = _echelon([m.row(i) + [b[i]] for i in range(m.rows)], field)
     if n in pivots:
         return None  # pivot in the augmented column: inconsistent
-    zero = field.zero()
     particular = [zero] * n
-    for r, c in enumerate(pivots):
-        particular[c] = rows[r][n]
+    for row, c in zip(rows, pivots):
+        particular[c] = field.quotient(row[n], row[c])
     free_cols = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free_cols:
         vec = [zero] * n
-        vec[fc] = field.one()
-        for r, c in enumerate(pivots):
-            vec[c] = -rows[r][fc]
+        vec[fc] = one
+        for row, c in zip(rows, pivots):
+            vec[c] = field.quotient(-row[fc], row[c])
         basis.append(vec)
     return particular, basis
 

@@ -146,6 +146,8 @@ def gen_random(d: int, field: FieldSpec, seed: int) -> TridiagonalSystem:
     than by rejection.  Deterministic for a given seed; raises
     GenerationFailed when _MAX_RETRIES draws all break down.
     """
+    if d < 1:
+        raise ValueError(f"d must be at least 1, got {d}")
     if not field.is_prime_field:
         raise ValueError("random generation targets prime fields")
     p = field.modulus
@@ -165,8 +167,9 @@ def gen_random(d: int, field: FieldSpec, seed: int) -> TridiagonalSystem:
             continue
         c = [x * pow(y, -1, p) for x, y in zip(w, b)]
         sys = make_system(field, a, b, c, _distinct_residues(rng, p, d + 1))
-        if validate_system(sys):
-            continue
+        violations = validate_system(sys)
+        if violations:
+            raise InternalInconsistency(f"construction must yield a valid system: {'; '.join(violations)}")
         if not _multiplicity_free(sys):
             raise InternalInconsistency("construction must yield a split spectrum")
         return sys

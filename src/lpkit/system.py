@@ -195,16 +195,18 @@ def compute_spectrum(sys: TridiagonalSystem,
                 f"found {len(roots)} distinct in-field eigenvalues, need {n}")
         theta = tuple(r for r, _ in roots)
 
+    field = sys.field
     k = _dagger_diagonal(sys)
+    k_ints, k_den = field.cleared([x.value for x in k])
     vectors = []
     norms = []
     for t in theta:
         v, residual = cosine_recurrence(sys, t)
         if not residual.is_zero():
             raise InternalInconsistency(f"cosine recurrence residual {residual} at eigenvalue {t}")
-        norm = sys.field.zero()
-        for kk, x in zip(k, v):
-            norm = norm + kk * x * x
+        # integer form: n = sum_k K_k v[k]^2 with K and v each cleared once
+        v_ints, v_den = field.cleared([x.value for x in v])
+        norm = field.quotient(sum(kk * x * x for kk, x in zip(k_ints, v_ints)), k_den * v_den * v_den)
         if norm.is_zero():
             raise InternalInconsistency(f"left and right eigenvectors of {t} are orthogonal")
         vectors.append(v)
@@ -219,10 +221,13 @@ def dual_a(sys: TridiagonalSystem, spec: Spectrum, r: int) -> Scalar:
     """
     if not 0 <= r <= sys.d:
         raise IndexOutOfRange(f"index {r} out of 0..{sys.d}")
-    # raw values: one sum, one reduction, then one division by n_r
-    total = sum(kk.value * t.value * x.value * x.value
-                for kk, t, x in zip(spec.k, sys.theta_star, spec.v[r]))
-    return Scalar(sys.field, sys.field.reduce(total)) / spec.norm[r]
+    # a ratio of two integer forms: the denominators of K and v_r cancel, that of theta* stays
+    field = sys.field
+    k, _ = field.cleared([x.value for x in spec.k])
+    ts, ts_den = field.cleared([x.value for x in sys.theta_star])
+    v, _ = field.cleared([x.value for x in spec.v[r]])
+    weights = [kk * x * x for kk, x in zip(k, v)]
+    return field.quotient(sum(w * t for w, t in zip(weights, ts)), sum(weights) * ts_den)
 
 
 def _dagger_diagonal(sys: TridiagonalSystem) -> tuple[Scalar, ...]:

@@ -10,14 +10,17 @@ A = sum theta_i E_i built from the production factors, and the conjugation by
 K, let the tests check their algebra.  The small matrix helpers at the top
 (construction, the textbook product, identity, sum, difference, scaling,
 zero test, transpose, trace, side-by-side join) and the connectivity test
-of an adjacency graph are for the tests only.
+of an adjacency graph are for the tests only.  The product, the elimination,
+the norms and a*_r as running sums of field values, one reduction or
+division at a time, are the references for the integer-form kernels.
 """
 from __future__ import annotations
 
 from dataclasses import replace
+from operator import mul
 
 from lpkit.errors import ShapeMismatch
-from lpkit.exactmath import Matrix
+from lpkit.exactmath import Matrix, Scalar
 from lpkit.leaf import leaf_by_ratio
 from lpkit.qpoly import solve_condition_ii, solve_witness
 from lpkit.system import _dagger_diagonal, realize_matrices
@@ -40,6 +43,91 @@ def naive_matmul(x, y):
                 acc = acc + x.at(i, k) * y.at(k, j)
             entries.append(acc)
     return Matrix(x.field, x.rows, y.cols, entries)
+
+
+def raw_matmul(x, y):
+    """The product on raw values: one sum of products and one reduction per entry."""
+    if x.cols != y.rows:
+        raise ShapeMismatch("product shape mismatch")
+    field = x.field
+    zero = field.zero().value
+    left = [e.value for e in x.entries]
+    right = [e.value for e in y.entries]
+    rows = [left[i * x.cols:(i + 1) * x.cols] for i in range(x.rows)]
+    cols = [right[j::y.cols] for j in range(y.cols)]
+    out = [Scalar(field, field.reduce(sum(map(mul, row, col), zero))) for row in rows for col in cols]
+    return Matrix(field, x.rows, y.cols, out)
+
+
+def scalar_echelon(rows):
+    """In-place reduced row echelon form on Scalars; returns (rows, pivot column list)."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot = next((k for k in range(r, nrows) if not rows[k][c].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for k in range(nrows):
+            if k != r and not rows[k][c].is_zero():
+                f = rows[k][c]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def scalar_rank(m):
+    _, pivots = scalar_echelon([m.row(i) for i in range(m.rows)])
+    return len(pivots)
+
+
+def scalar_solve_affine(m, b):
+    """(particular solution, nullspace basis) of M x = b, or None, by scalar_echelon."""
+    b = list(b)
+    if len(b) != m.rows:
+        raise ShapeMismatch("right-hand side length mismatch")
+    field = m.field
+    n = m.cols
+    zero, one = field.zero(), field.one()
+    aug = [m.row(i) + [b[i]] for i in range(m.rows)]
+    if not aug:
+        return [zero] * n, [[one if i == j else zero for i in range(n)] for j in range(n)]
+    rows, pivots = scalar_echelon(aug)
+    if n in pivots:
+        return None
+    particular = [zero] * n
+    for r, c in enumerate(pivots):
+        particular[c] = rows[r][n]
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [zero] * n
+        vec[fc] = one
+        for r, c in enumerate(pivots):
+            vec[c] = -rows[r][fc]
+        basis.append(vec)
+    return particular, basis
+
+
+def scalar_norm(k, v):
+    """n = sum_k K_k v[k]^2 as a running Scalar sum."""
+    norm = v[0].field.zero()
+    for kk, x in zip(k, v):
+        norm = norm + kk * x * x
+    return norm
+
+
+def scalar_dual_a(sys_, spec, r):
+    """a*_r = sum_k K_k theta*_k v_r[k]^2 / n_r: one raw sum, one reduction, one division."""
+    total = sum(kk.value * t.value * x.value * x.value
+                for kk, t, x in zip(spec.k, sys_.theta_star, spec.v[r]))
+    return Scalar(sys_.field, sys_.field.reduce(total)) / spec.norm[r]
 
 
 def identity(field, n):

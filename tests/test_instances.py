@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpkit import instances
 from lpkit.delta import build_delta
-from lpkit.errors import (CharacteristicTooSmall, GenerationFailed,
-                          IndexOutOfRange, ParseError, ZeroScale)
+from lpkit.errors import (CharacteristicTooSmall, GenerationFailed, IndexOutOfRange,
+                          InternalInconsistency, ParseError, ZeroScale)
 from lpkit.exactmath import GF, RATIONALS
 from lpkit.instances import (Instance, affine_transform, gen_krawtchouk,
                              gen_random, mutate_theta_star, parse_instance,
@@ -93,6 +94,19 @@ def test_gen_random_calibration():
     # all seeds succeed; the spectrum is in-field by construction
     for seed in range(100):
         gen_random(4, GF101, seed)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_gen_random_rejects_d_below_one(d):
+    with pytest.raises(ValueError, match=f"d must be at least 1, got {d}"):
+        gen_random(d, GF101, 0)
+
+
+def test_gen_random_invalid_construction_is_an_internal_error(monkeypatch):
+    # b is drawn nonzero and c = w/b with no w_i zero, so only a bug can break validity
+    monkeypatch.setattr(instances, "validate_system", lambda sys_: ["superdiagonal zero at 0"])
+    with pytest.raises(InternalInconsistency, match="superdiagonal zero at 0"):
+        gen_random(4, GF101, 0)
 
 
 def test_gen_random_small_prime_fails():
