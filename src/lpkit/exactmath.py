@@ -25,6 +25,7 @@ __all__ = [
     "Poly",
     "Matrix",
     "rank",
+    "solve_rows",
     "solve_affine",
     "char_poly_oracle",
     "poly_roots_in_field",
@@ -384,20 +385,20 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field})"
 
 
-def _echelon(rows: Sequence[Sequence[Scalar]], field: FieldSpec) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination: (pivot rows, pivot columns).
+def _echelon(rows: Sequence[list[int]], field: FieldSpec) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination on integer rows: (pivot rows, pivot columns).
 
-    Each row is cleared of denominators once, and the elimination runs on
-    those integers, since rows may be scaled freely.  A pivot is the first
-    entry of its column, from the current row down, that is nonzero in the
-    field.  Each step replaces every other row by
+    Rows may be scaled freely, so callers clear each row of denominators
+    and the elimination runs on integers.  A pivot is the first entry of
+    its column, from the current row down, that is nonzero in the field.
+    Each step replaces every other row by
     (pivot * row - f * pivot_row) / previous pivot, f the row's entry in the
     pivot column.  The division is exact (Bareiss: every entry is a minor of
     the cleared input), so the integers stay polynomial in size.  Row r of
     the result is zero in every pivot column but pivots[r]; divided by that
     entry it is row r of the reduced echelon form.
     """
-    rows = [field.cleared([e.value for e in row])[0] for row in rows]
+    rows = list(rows)
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots = []
@@ -424,28 +425,25 @@ def _echelon(rows: Sequence[Sequence[Scalar]], field: FieldSpec) -> tuple[list[l
 
 def rank(m: Matrix) -> int:
     """Rank by exact fraction-free Gauss-Jordan elimination."""
-    _, pivots = _echelon([m.row(i) for i in range(m.rows)], m.field)
+    field = m.field
+    _, pivots = _echelon([field.cleared([e.value for e in m.row(i)])[0] for i in range(m.rows)], field)
     return len(pivots)
 
 
-def solve_affine(m: Matrix, b: Sequence[Scalar]):
-    """Describe the full solution set of M x = b.
+def solve_rows(field: FieldSpec, rows: Sequence[list[int]], n: int):
+    """The solution set of M x = b from integer rows [M | b] with n unknowns.
 
+    Each row may be any nonzero integer multiple of its equation.
     Returns None when the system is inconsistent, otherwise a pair
     (particular solution, nullspace basis) where both are lists of Scalar
     column vectors.  An empty nullspace basis means the solution is unique.
     """
-    field = m.field
-    b = [field.scalar(x) for x in b]
-    if len(b) != m.rows:
-        raise ShapeMismatch("right-hand side length mismatch")
-    n = m.cols
     zero, one = field.zero(), field.one()
-    if not b:
+    if not rows:
         # no constraints: everything solves
         basis = [[one if i == j else zero for i in range(n)] for j in range(n)]
         return [zero] * n, basis
-    rows, pivots = _echelon([m.row(i) + [b[i]] for i in range(m.rows)], field)
+    rows, pivots = _echelon(rows, field)
     if n in pivots:
         return None  # pivot in the augmented column: inconsistent
     particular = [zero] * n
@@ -460,6 +458,16 @@ def solve_affine(m: Matrix, b: Sequence[Scalar]):
             vec[c] = field.quotient(-row[fc], row[c])
         basis.append(vec)
     return particular, basis
+
+
+def solve_affine(m: Matrix, b: Sequence[Scalar]):
+    """The solution set of M x = b, as solve_rows returns it, each row cleared once."""
+    field = m.field
+    b = [field.scalar(x) for x in b]
+    if len(b) != m.rows:
+        raise ShapeMismatch("right-hand side length mismatch")
+    return solve_rows(field, [field.cleared([e.value for e in m.row(i)] + [b[i].value])[0]
+                              for i in range(m.rows)], m.cols)
 
 
 def char_poly_oracle(m: Matrix) -> Poly:
@@ -515,8 +523,9 @@ def poly_roots_in_field(p: Poly) -> list[tuple[Scalar, int]]:
 
     Over GF(p): gcd with x^p - x and equal-degree splitting.  Over the
     rationals: roots modulo a prime, Hensel-lifted and rebuilt by rational
-    reconstruction.  Either way each root's multiplicity comes from exact
-    deflation, and roots are returned in canonical order.
+    reconstruction.  Each root's multiplicity comes from exact deflation
+    over GF(p), from exact integer division by m x - n for a rational root
+    n/m, and roots are returned in canonical order.
     """
     field = p.field
     if p.is_zero():

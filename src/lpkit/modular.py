@@ -1,10 +1,10 @@
 """Algorithms on plain integers: primality, residue-list division, and root finding over GF(p) and Q.
 
 Polynomials over GF(p) are residue lists: ints in [0, p), low degree first,
-with no trailing zeros (the zero polynomial is []).  Polynomials over Q are
-lists of Fractions.  Nothing here knows about ``Scalar`` or ``Poly``; the
-wrapper costs about 15x per GF(p) multiply-add, so ``exactmath`` converts
-once and calls these functions.
+with no trailing zeros (the zero polynomial is []).  Polynomials over Q come
+as lists of Fractions and are cleared to integer lists once.  Nothing here
+knows about ``Scalar`` or ``Poly``; the wrapper costs about 15x per GF(p)
+multiply-add, so ``exactmath`` converts once and calls these functions.
 """
 from __future__ import annotations
 
@@ -364,27 +364,31 @@ def _rational_reconstruction(r: int, m: int, bound_num: int, bound_den: int) -> 
     return Fraction(r1, t1)
 
 
-def _deflate_fraction(a: list[Fraction], r: Fraction) -> Optional[list[Fraction]]:
-    """a / (x - r) when r is a root of a, else None."""
-    quo = [Fraction(0)] * (len(a) - 1)
-    acc = Fraction(0)
+def _divide_linear(a: list[int], n: int, m: int) -> Optional[list[int]]:
+    """a / (m x - n) for an integer polynomial a and m > 0 if the quotient is integral, else None.
+
+    For coprime n and m, m x - n is primitive, so by Gauss's lemma the
+    quotient is integral exactly when n/m is a root of a.
+    """
+    quo = [0] * (len(a) - 1)
+    acc = 0
     for k in range(len(a) - 1, 0, -1):
-        acc = acc * r + a[k]
+        acc, rem = divmod(a[k] + n * acc, m)
+        if rem:
+            return None
         quo[k - 1] = acc
-    return quo if acc * r + a[0] == 0 else None
+    return quo if a[0] + n * acc == 0 else None
 
 
-def _rational_candidates(f: list[Fraction]) -> list[Fraction]:
-    """Candidate nonzero rational roots of f (f(0) != 0, degree >= 1).
+def _rational_candidates(big: list[int]) -> list[Fraction]:
+    """Candidate nonzero rational roots of an integer polynomial (constant term nonzero, degree >= 1).
 
     Roots of the squarefree part S, an integer polynomial, modulo the first
     prime p >= 2^20 that keeps S squarefree and of full degree; each root is
     Newton-lifted until p^k > 2 |S(0)| |lc(S)| and rebuilt by rational
-    reconstruction.  Every rational root of f is among the candidates; the
-    caller confirms each one by exact deflation.
+    reconstruction.  Every rational root is among the candidates; the
+    caller confirms each one by exact division.
     """
-    den = lcm(*(c.denominator for c in f))
-    big = [c.numerator * (den // c.denominator) for c in f]
     deriv = [k * c for k, c in enumerate(big)][1:]
     sq = _int_poly_divexact(big, _int_poly_gcd(big, deriv))
     dsq = [k * c for k, c in enumerate(sq)][1:]
@@ -437,9 +441,12 @@ def prime_field_roots(f: list[int], p: int) -> list[tuple[int, int]]:
 def rational_roots(f: list[Fraction]) -> list[tuple[Fraction, int]]:
     """The rational roots of a nonzero polynomial f over Q, with multiplicities.
 
-    Zero is split off as a power of x; every other candidate is confirmed,
-    and its multiplicity found, by exact deflation of f.
+    f is cleared of denominators once.  Zero is split off as a power of x;
+    every other candidate n/m is confirmed, and its multiplicity found, by
+    exact integer division by m x - n.
     """
+    den = lcm(*(c.denominator for c in f))
+    f = [c.numerator * (den // c.denominator) for c in f]
     out = []
     zero_mult = 0
     while f[0] == 0:
@@ -451,7 +458,7 @@ def rational_roots(f: list[Fraction]) -> list[tuple[Fraction, int]]:
         for cand in _rational_candidates(f):
             mult = 0
             while len(f) > 1:
-                quo = _deflate_fraction(f, cand)
+                quo = _divide_linear(f, cand.numerator, cand.denominator)
                 if quo is None:
                     break
                 f = quo

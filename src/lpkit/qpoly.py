@@ -15,6 +15,11 @@ names the only possible partner of r:
 theta_s = a_0 + b_0 v_r[1] (theta*_1 - a*_r)/(theta*_0 - a*_r).
 So each r costs one a*_r, one lookup in a theta -> index dict and, when the
 lookup hits some s != r, one O(d) ratio check: O(d^2) in all.
+
+The witness of (ii) and (iii) runs on integer forms: theta*, a, beta and
+gamma* are cleared of denominators once, the rows of both conditions go as
+integers to ``exactmath.solve_rows``, and the checks behind delta* are zero
+tests through ``FieldSpec.reduce``.  Each witness entry is one exact quotient.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ from typing import Optional, Sequence
 
 from .delta import build_delta, path_order
 from .errors import InternalInconsistency, NotConstant, RouteUnavailable
-from .exactmath import Matrix, Scalar, solve_affine
+from .exactmath import Scalar, solve_rows
 from .leaf import leaf_by_ratio
 from .system import Spectrum, TridiagonalSystem, dual_a
 
@@ -68,20 +73,14 @@ class QPolyVerdict:
 def solve_condition_ii(theta_star: Sequence[Scalar]):
     """Solution set of gamma* = t*_{i-1} - beta t*_i + t*_{i+1} over (beta, gamma*).
 
-    Returns (particular, nullspace basis) or None.  For d <= 2 there are no
-    equations and the full two-dimensional set comes back.
+    Returns (particular, nullspace basis) or None.  For d <= 1 there are no
+    equations and the full two-dimensional set comes back; the rows are
+    built as integers, times the common denominator of theta*.
     """
-    theta_star = list(theta_star)
-    d = len(theta_star) - 1
     field = theta_star[0].field
-    # rows: t*_i * beta + gamma* = t*_{i-1} + t*_{i+1}, for 1 <= i <= d-1
-    rows = []
-    rhs = []
-    for i in range(1, d):
-        rows.append([theta_star[i], field.one()])
-        rhs.append(theta_star[i - 1] + theta_star[i + 1])
-    m = Matrix(field, len(rows), 2, [x for row in rows for x in row])
-    return solve_affine(m, rhs)
+    t, den = field.cleared([x.value for x in theta_star])
+    # t*_i * beta + gamma* = t*_{i-1} + t*_{i+1}, for 1 <= i <= d-1
+    return solve_rows(field, [[t[i], den, t[i - 1] + t[i + 1]] for i in range(1, len(t) - 1)], 2)
 
 
 def extend_dual_eigenvalues(theta_star: Sequence[Scalar], beta: Scalar,
@@ -101,27 +100,24 @@ def compute_delta_star(theta_star_ext: Sequence[Scalar], beta: Scalar,
     recurrence (a violated precondition).  Also checks the product identity
     (t*_i - t*_{i-1})(t*_i - t*_{i+1}) = (2-beta) t*^2_i - 2 gamma* t*_i - delta*.
     """
-    ext = list(theta_star_ext)
+    field = beta.field
+    # integer forms: ext, beta and gamma* over one denominator D; the checks are
+    # zero tests of the identities times D^2 (the recurrence) or D^3
+    ints, den = field.cleared([x.value for x in theta_star_ext] + [beta.value, gamma_star.value])
+    *ext, beta, gstar = ints
     d = len(ext) - 3
     for i in range(d + 1):
-        if gamma_star != ext[i] - beta * ext[i + 1] + ext[i + 2]:
+        if field.reduce((ext[i] + ext[i + 2] - gstar) * den - beta * ext[i + 1]):
             raise NotConstant(f"recurrence fails at i = {i}")
-    values = []
-    for i in range(d + 2):
-        prev, cur = ext[i], ext[i + 1]
-        values.append(prev * prev - beta * prev * cur + cur * cur
-                      - gamma_star * (prev + cur))
-    if any(v != values[0] for v in values):
+    values = [(prev * prev + cur * cur - gstar * (prev + cur)) * den - beta * prev * cur
+              for prev, cur in zip(ext, ext[1:])]
+    if any(field.reduce(v - values[0]) for v in values):
         raise NotConstant("expression is not independent of i")
-    delta_star = values[0]
-    two = beta.field.scalar(2)
-    for i in range(d + 1):
-        t = ext[i + 1]
-        lhs = (t - ext[i]) * (t - ext[i + 2])
-        rhs = (two - beta) * t * t - two * gamma_star * t - delta_star
-        if lhs != rhs:
+    for prev, t, nxt in zip(ext, ext[1:], ext[2:]):
+        if field.reduce((t - prev) * (t - nxt) * den - (2 * den - beta) * t * t
+                        + 2 * gstar * t * den + values[0]):
             raise InternalInconsistency("product identity violated")
-    return delta_star
+    return field.quotient(values[0], den ** 3)
 
 
 def verify_aw2(sys: TridiagonalSystem, witness: RecurrenceWitness) -> bool:
@@ -163,43 +159,36 @@ def solve_witness(sys: TridiagonalSystem) -> Optional[RecurrenceWitness]:
 
 
 def _joint_witness(sys: TridiagonalSystem, sol2) -> Optional[RecurrenceWitness]:
-    """solve_witness for a given solution set of condition (ii), as solve_condition_ii returns it."""
+    """solve_witness for a given solution set of condition (ii), as solve_condition_ii returns it.
+
+    Row i is a_i (t*_i - t*_{i-1})(t*_i - t*_{i+1}) = gamma t*_i^2 + omega t*_i + eta*
+    on raw values, times den(theta*)^2 den(a) with theta* and a cleared once.
+    Only t*_{-1} and t*_{d+1} depend on the free parameters of (ii), affinely
+    (through d gamma* + d beta t*), so each free direction is one more unknown.
+    """
     field = sys.field
     (beta0, gstar0), free = sol2
-    k = len(free)
     d = sys.d
-    ext0 = list(extend_dual_eigenvalues(sys.theta_star, beta0, gstar0))
-    # directional derivatives of the two extension entries per free parameter
-    # (the interior entries of the extended list do not depend on the parameters)
-    d_before = [fv[1] + fv[0] * sys.theta_star[0] for fv in free]  # d gamma* + d beta * t*_0
-    d_after = [fv[1] + fv[0] * sys.theta_star[d] for fv in free]
-    zero = field.zero()
+    t, den = field.cleared([x.value for x in sys.theta_star])
+    a, a_den = field.cleared([x.value for x in sys.a])
+    g0, b0 = den * gstar0.value, beta0.value
+    ext0 = [g0 + b0 * t[0] - t[1]] + list(t) + [g0 + b0 * t[d] - t[d - 1]]  # den * theta*_{-1..d+1}
     rows = []
-    rhs = []
     for i in range(d + 1):
-        t = sys.theta_star[i]
-        row = [t * t, t, field.one()]
-        # constant part of a_i (t*_i - t*_{i-1})(t*_i - t*_{i+1})
-        const = sys.a[i] * (t - ext0[i]) * (t - ext0[i + 2])
-        param_coeffs = [zero] * k
-        if i == 0:
-            # t*_{-1} is affine in the parameters; the product stays affine
-            # because (t - t*_{-1}) is the only parameter-dependent factor
-            factor = sys.a[0] * (t - ext0[2])
-            param_coeffs = [factor * (-dv) for dv in d_before]
-        if i == d:
-            factor = sys.a[d] * (t - ext0[d])
-            param_coeffs = [pc + factor * (-dv) for pc, dv in zip(param_coeffs, d_after)]
-        # unknowns: (gamma, omega, eta*, t_1..t_k); move parameter terms left
-        rows.append(row + [-pc for pc in param_coeffs])
-        rhs.append(const)
-    m = Matrix(field, len(rows), 3 + k, [x for row in rows for x in row])
-    joint = solve_affine(m, rhs)
+        row = [t[i] * t[i] * a_den, t[i] * den * a_den, den * den * a_den]
+        for dbeta, dgstar in ((fv[0].value, fv[1].value) for fv in free):
+            coeff = 0  # the moves of t*_{-1} (row 0) and t*_{d+1} (row d), taken to the left
+            if i == 0:
+                coeff += a[0] * (t[0] - t[1]) * (den * dgstar + dbeta * t[0])
+            if i == d:
+                coeff += a[d] * (t[d] - t[d - 1]) * (den * dgstar + dbeta * t[d])
+            row.append(coeff)
+        row.append(a[i] * (t[i] - ext0[i]) * (t[i] - ext0[i + 2]))
+        rows.append(field.cleared(list(map(field.reduce, row)))[0])
+    joint = solve_rows(field, rows, 3 + len(free))
     if joint is None:
         return None
-    particular, _ = joint
-    gamma, omega, eta_star = particular[0], particular[1], particular[2]
-    params = particular[3:]
+    (gamma, omega, eta_star, *params), _ = joint
     beta = beta0
     gstar = gstar0
     for t_val, fv in zip(params, free):

@@ -12,17 +12,19 @@ K, let the tests check their algebra.  The small matrix helpers at the top
 zero test, transpose, trace, side-by-side join) and the connectivity test
 of an adjacency graph are for the tests only.  The product, the elimination,
 the norms and a*_r as running sums of field values, one reduction or
-division at a time, are the references for the integer-form kernels.
+division at a time, are the references for the integer-form kernels; so
+are the witness of conditions (ii) and (iii) and delta*, built from Scalar
+rows and products and solved by the Scalar elimination.
 """
 from __future__ import annotations
 
 from dataclasses import replace
 from operator import mul
 
-from lpkit.errors import ShapeMismatch
+from lpkit.errors import InternalInconsistency, NotConstant, ShapeMismatch
 from lpkit.exactmath import Matrix, Scalar
 from lpkit.leaf import leaf_by_ratio
-from lpkit.qpoly import solve_condition_ii, solve_witness
+from lpkit.qpoly import RecurrenceWitness, solve_condition_ii, solve_witness
 from lpkit.system import _dagger_diagonal, realize_matrices
 
 
@@ -276,3 +278,97 @@ def pair_scan_theorem_route(sys_, spec):
     if any(t == sys_.theta_star[0] for t in sys_.theta_star[1:]):
         return False, "iv"
     return True, None
+
+
+def scalar_solve_condition_ii(theta_star):
+    """The solution set of condition (ii) from Scalar rows t*_i beta + gamma* = t*_{i-1} + t*_{i+1}."""
+    theta_star = list(theta_star)
+    d = len(theta_star) - 1
+    field = theta_star[0].field
+    rows = []
+    rhs = []
+    for i in range(1, d):
+        rows.append([theta_star[i], field.one()])
+        rhs.append(theta_star[i - 1] + theta_star[i + 1])
+    m = Matrix(field, len(rows), 2, [x for row in rows for x in row])
+    return scalar_solve_affine(m, rhs)
+
+
+def scalar_extend(theta_star, beta, gamma_star):
+    """theta*_{-1}, theta*_0..theta*_d, theta*_{d+1} from the recurrence, in Scalars."""
+    theta_star = list(theta_star)
+    before = gamma_star + beta * theta_star[0] - theta_star[1]
+    after = gamma_star + beta * theta_star[-1] - theta_star[-2]
+    return tuple([before] + theta_star + [after])
+
+
+def scalar_delta_star(theta_star_ext, beta, gamma_star):
+    """delta* with the recurrence, independence of i and the product identity checked in Scalars."""
+    ext = list(theta_star_ext)
+    d = len(ext) - 3
+    for i in range(d + 1):
+        if gamma_star != ext[i] - beta * ext[i + 1] + ext[i + 2]:
+            raise NotConstant(f"recurrence fails at i = {i}")
+    values = []
+    for i in range(d + 2):
+        prev, cur = ext[i], ext[i + 1]
+        values.append(prev * prev - beta * prev * cur + cur * cur
+                      - gamma_star * (prev + cur))
+    if any(v != values[0] for v in values):
+        raise NotConstant("expression is not independent of i")
+    delta_star = values[0]
+    two = beta.field.scalar(2)
+    for i in range(d + 1):
+        t = ext[i + 1]
+        lhs = (t - ext[i]) * (t - ext[i + 2])
+        rhs = (two - beta) * t * t - two * gamma_star * t - delta_star
+        if lhs != rhs:
+            raise InternalInconsistency("product identity violated")
+    return delta_star
+
+
+def scalar_joint_witness(sys_, sol2):
+    """The witness for a solution set of condition (ii): Scalar rows over (gamma, omega, eta*, parameters)."""
+    field = sys_.field
+    (beta0, gstar0), free = sol2
+    k = len(free)
+    d = sys_.d
+    ext0 = list(scalar_extend(sys_.theta_star, beta0, gstar0))
+    d_before = [fv[1] + fv[0] * sys_.theta_star[0] for fv in free]
+    d_after = [fv[1] + fv[0] * sys_.theta_star[d] for fv in free]
+    zero = field.zero()
+    rows = []
+    rhs = []
+    for i in range(d + 1):
+        t = sys_.theta_star[i]
+        row = [t * t, t, field.one()]
+        const = sys_.a[i] * (t - ext0[i]) * (t - ext0[i + 2])
+        param_coeffs = [zero] * k
+        if i == 0:
+            factor = sys_.a[0] * (t - ext0[2])
+            param_coeffs = [factor * (-dv) for dv in d_before]
+        if i == d:
+            factor = sys_.a[d] * (t - ext0[d])
+            param_coeffs = [pc + factor * (-dv) for pc, dv in zip(param_coeffs, d_after)]
+        rows.append(row + [-pc for pc in param_coeffs])
+        rhs.append(const)
+    m = Matrix(field, len(rows), 3 + k, [x for row in rows for x in row])
+    joint = scalar_solve_affine(m, rhs)
+    if joint is None:
+        return None
+    particular, _ = joint
+    gamma, omega, eta_star = particular[0], particular[1], particular[2]
+    beta = beta0
+    gstar = gstar0
+    for t_val, fv in zip(particular[3:], free):
+        beta = beta + t_val * fv[0]
+        gstar = gstar + t_val * fv[1]
+    ext = scalar_extend(sys_.theta_star, beta, gstar)
+    delta_star = scalar_delta_star(ext, beta, gstar)
+    return RecurrenceWitness(beta, gstar, gamma, omega, eta_star, delta_star, ext)
+
+
+def scalar_solve_witness(sys_):
+    """solve_witness from the Scalar rows: condition (ii), then the joint solve with (iii)."""
+    sol2 = scalar_solve_condition_ii(sys_.theta_star)
+    return None if sol2 is None else scalar_joint_witness(sys_, sol2)

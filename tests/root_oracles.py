@@ -7,6 +7,8 @@ of the input, so the tests run them on small fields and small coefficients
 only and compare the production finder against them exactly.  The powering
 oracle multiplies ``Poly`` values and divides by f with the schoolbook
 ``_divmod`` below, so it shares no code with ``modular.linear_powmod``.
+``fraction_rational_roots`` confirms the production candidates, and counts
+their multiplicities, by synthetic division on Fractions.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from lpkit.exactmath import GF, Poly, Scalar
+from lpkit.modular import _rational_candidates
 
 
 def _int_divisors(n: int) -> list[int]:
@@ -128,3 +131,42 @@ def repeated_powmod(shift: int, e: int, f: list[int], p: int) -> list[int]:
         for _ in range(e):
             out = _divmod(out * base, modulus)[1]
     return [c.value for c in out.coeffs]
+
+
+def _deflate_fraction(a: list[Fraction], r: Fraction):
+    """a / (x - r) when r is a root of a, else None."""
+    quo = [Fraction(0)] * (len(a) - 1)
+    acc = Fraction(0)
+    for k in range(len(a) - 1, 0, -1):
+        acc = acc * r + a[k]
+        quo[k - 1] = acc
+    return quo if acc * r + a[0] == 0 else None
+
+
+def fraction_rational_roots(f: list[Fraction]) -> list[tuple[Fraction, int]]:
+    """``modular.rational_roots`` with each candidate confirmed by Fraction deflation.
+
+    Zero is split off as a power of x; the candidates come from the
+    production ``_rational_candidates`` on the cleared polynomial.
+    """
+    out = []
+    zero_mult = 0
+    while f[0] == 0:
+        f = f[1:]
+        zero_mult += 1
+    if zero_mult:
+        out.append((Fraction(0), zero_mult))
+    if len(f) > 1:
+        den = lcm(*(Fraction(c).denominator for c in f))
+        ints = [int(c * den) for c in f]
+        for cand in _rational_candidates(ints):
+            mult = 0
+            while len(f) > 1:
+                quo = _deflate_fraction(f, cand)
+                if quo is None:
+                    break
+                f = quo
+                mult += 1
+            if mult:
+                out.append((cand, mult))
+    return out

@@ -3,6 +3,7 @@
 ``data/golden_cli.json`` lists CLI calls on the instance files in ``data/``
 with the exit code and output each produced when it was recorded.  Any
 change to what a user sees, ``gen random``'s output included, fails here.
+``record_golden.py`` appends new calls and never rewrites a recorded one.
 """
 from __future__ import annotations
 
@@ -23,3 +24,21 @@ def test_cli_output_matches_transcript(call, capsys, monkeypatch):
     code = main(call["argv"])
     out, err = capsys.readouterr()
     assert (code, out, err) == (call["exit"], call["stdout"], call["stderr"])
+
+
+def test_record_golden_appends_and_refuses_to_rewrite(tmp_path, monkeypatch, capsys):
+    import record_golden
+
+    transcript = tmp_path / "golden_cli.json"
+    transcript.write_text(json.dumps(TRANSCRIPT[:1], indent=1) + "\n", encoding="utf-8")
+    monkeypatch.setattr(record_golden, "TRANSCRIPT", transcript)
+    monkeypatch.chdir(DATA)  # restored afterwards; the script works in DATA
+    call = "check k3.lp --machine"
+    assert record_golden.main([call, call]) == 0
+    entries = json.loads(transcript.read_text(encoding="utf-8"))
+    assert entries == TRANSCRIPT[:1] + [c for c in TRANSCRIPT if c["argv"] == call.split()]
+    forged = dict(entries[1], stdout="forged\n")
+    transcript.write_text(json.dumps([entries[0], forged], indent=1) + "\n", encoding="utf-8")
+    assert record_golden.main(["check k2.lp", call]) == 1
+    assert json.loads(transcript.read_text(encoding="utf-8")) == [entries[0], forged]
+    assert "refusing to rewrite the entry of 'check k3.lp --machine'" in capsys.readouterr().out
