@@ -26,7 +26,7 @@ from .errors import (CharacteristicTooSmall, GenerationFailed, IndexOutOfRange,
                      InternalInconsistency, NonDecimalScalar, ParseError, ZeroScale)
 from .exactmath import GF, RATIONALS, FieldSpec, Scalar
 from .modular import divmod_residues, linear_powmod, monic
-from .system import TridiagonalSystem, char_poly, make_system, validate_system
+from .system import TridiagonalSystem, char_form, make_system, validate_system
 
 __all__ = [
     "Instance",
@@ -104,7 +104,7 @@ def _multiplicity_free(sys: TridiagonalSystem) -> bool:
     splits exactly when x^p = x mod f; this avoids a root search.
     """
     p = sys.field.modulus
-    return linear_powmod(0, p, [c.value for c in char_poly(sys).coeffs], p) == [0, 1]
+    return linear_powmod(0, p, char_form(sys)[0], p) == [0, 1]
 
 
 def _distinct_residues(rng: random.Random, p: int, count: int) -> list[int]:

@@ -2,7 +2,9 @@
 
 Polynomials over GF(p) are residue lists: ints in [0, p), low degree first,
 with no trailing zeros (the zero polynomial is []).  Polynomials over Q come
-as lists of Fractions and are cleared to integer lists once.  Nothing here
+as lists of Fractions and are cleared to integer lists once; their roots
+are found modulo the first prime, counting up from 2, that keeps the
+squarefree part squarefree and of full degree, then lifted.  Nothing here
 knows about ``Scalar`` or ``Poly``; the wrapper costs about 15x per GF(p)
 multiply-add, so ``exactmath`` converts once and calls these functions.
 """
@@ -384,15 +386,18 @@ def _rational_candidates(big: list[int]) -> list[Fraction]:
     """Candidate nonzero rational roots of an integer polynomial (constant term nonzero, degree >= 1).
 
     Roots of the squarefree part S, an integer polynomial, modulo the first
-    prime p >= 2^20 that keeps S squarefree and of full degree; each root is
+    prime p that keeps S squarefree and of full degree; each root is
     Newton-lifted until p^k > 2 |S(0)| |lc(S)| and rebuilt by rational
-    reconstruction.  Every rational root is among the candidates; the
-    caller confirms each one by exact division.
+    reconstruction.  A rational root n/m of S has m dividing lc(S), so it
+    has an image mod p, and that image is a simple root there.  Every
+    rational root is therefore among the candidates; the caller confirms
+    each one by exact division.  The primes skipped all divide
+    lc(S) disc(S), so there are polynomially many in the size of S.
     """
     deriv = [k * c for k, c in enumerate(big)][1:]
     sq = _int_poly_divexact(big, _int_poly_gcd(big, deriv))
     dsq = [k * c for k, c in enumerate(sq)][1:]
-    p = 1 << 20
+    p = 2
     while True:
         if is_prime(p) and sq[-1] % p:
             low = [c % p for c in sq]

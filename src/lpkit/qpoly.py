@@ -18,8 +18,9 @@ lookup hits some s != r, one O(d) ratio check: O(d^2) in all.
 
 The witness of (ii) and (iii) runs on integer forms: theta*, a, beta and
 gamma* are cleared of denominators once, the rows of both conditions go as
-integers to ``exactmath.solve_rows``, and the checks behind delta* are zero
-tests through ``FieldSpec.reduce``.  Each witness entry is one exact quotient.
+integers to ``exactmath.solve_rows``, and the recurrence check behind delta*
+is a zero test through ``FieldSpec.reduce``.  Each witness entry is one exact
+quotient.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .delta import build_delta, path_order
-from .errors import InternalInconsistency, NotConstant, RouteUnavailable
+from .errors import NotConstant, RouteUnavailable
 from .exactmath import Scalar, solve_rows
 from .leaf import leaf_by_ratio
 from .system import Spectrum, TridiagonalSystem, dual_a
@@ -97,27 +98,23 @@ def compute_delta_star(theta_star_ext: Sequence[Scalar], beta: Scalar,
     """The common value of t*^2_{i-1} - beta t*_{i-1} t*_i + t*^2_i - gamma*(t*_{i-1}+t*_i).
 
     Raises NotConstant when the extended list does not actually satisfy the
-    recurrence (a violated precondition).  Also checks the product identity
-    (t*_i - t*_{i-1})(t*_i - t*_{i+1}) = (2-beta) t*^2_i - 2 gamma* t*_i - delta*.
+    recurrence (a violated precondition).  The recurrence at every i makes
+    the expression the same at every i, and gives the product identity
+    (t*_i - t*_{i-1})(t*_i - t*_{i+1}) = (2-beta) t*^2_i - 2 gamma* t*_i - delta*,
+    so delta* is read at i = 0.
     """
     field = beta.field
-    # integer forms: ext, beta and gamma* over one denominator D; the checks are
-    # zero tests of the identities times D^2 (the recurrence) or D^3
+    # integer forms: ext, beta and gamma* over one denominator D; the recurrence
+    # is a zero test of its identity times D^2, and delta* is a quotient by D^3
     ints, den = field.cleared([x.value for x in theta_star_ext] + [beta.value, gamma_star.value])
     *ext, beta, gstar = ints
     d = len(ext) - 3
     for i in range(d + 1):
         if field.reduce((ext[i] + ext[i + 2] - gstar) * den - beta * ext[i + 1]):
             raise NotConstant(f"recurrence fails at i = {i}")
-    values = [(prev * prev + cur * cur - gstar * (prev + cur)) * den - beta * prev * cur
-              for prev, cur in zip(ext, ext[1:])]
-    if any(field.reduce(v - values[0]) for v in values):
-        raise NotConstant("expression is not independent of i")
-    for prev, t, nxt in zip(ext, ext[1:], ext[2:]):
-        if field.reduce((t - prev) * (t - nxt) * den - (2 * den - beta) * t * t
-                        + 2 * gstar * t * den + values[0]):
-            raise InternalInconsistency("product identity violated")
-    return field.quotient(values[0], den ** 3)
+    prev, cur = ext[0], ext[1]
+    return field.quotient((prev * prev + cur * cur - gstar * (prev + cur)) * den - beta * prev * cur,
+                          den ** 3)
 
 
 def verify_aw2(sys: TridiagonalSystem, witness: RecurrenceWitness) -> bool:

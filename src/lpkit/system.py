@@ -6,6 +6,13 @@ theta*_i that make the companion operator Astar = diag(theta*_0..theta*_d).
 This module computes spectra as the factors of their rank-one spectral
 projectors, and the trace scalars a*_r.
 
+The characteristic polynomial is built once as an integer form: a and the
+products w_i = b_{i-1} c_i are cleared over one denominator L, and the monic
+recurrence runs on plain integers, so that det(lambda I - A) = q(L lambda)/L^(d+1)
+with q monic.  Over GF(p), L = 1 and q is the residue list itself.  A hint is
+checked on the ``Poly`` view of q (``char_poly``); without one, the roots of
+q are searched and divided by L.
+
 Each primitive idempotent has rank one: E_i = v_i (K v_i)^T / n_i, where v_i
 is the cosine vector of theta_i (a right eigenvector), K is the diagonal
 dagger matrix (A^T K = K A, so K v_i is a left eigenvector) and
@@ -27,6 +34,7 @@ __all__ = [
     "validate_system",
     "realize_matrices",
     "monic_polys",
+    "char_form",
     "char_poly",
     "cosine_recurrence",
     "compute_spectrum",
@@ -145,9 +153,32 @@ def monic_polys(sys: TridiagonalSystem) -> tuple[Poly, ...]:
     return tuple(seq)
 
 
+def char_form(sys: TridiagonalSystem) -> tuple[list[int], int]:
+    """The integer form (q, L) of the characteristic polynomial: det(lambda I - A) = q(L lambda)/L^(d+1).
+
+    L is the common denominator of the a_i and w_i = b_{i-1} c_i, and q, low
+    degree first, comes from the monic recurrence
+    q_{i+1} = (x - L a_i) q_i - L^2 w_i q_{i-1} on integers, each coefficient
+    reduced through ``FieldSpec.reduce``.  Over GF(p), L = 1 and q holds the
+    residues of det(lambda I - A).  O(d^2).
+    """
+    field = sys.field
+    products = [field.reduce(b.value * c.value) for b, c in zip(sys.b, sys.c)]
+    ints, scale = field.cleared([x.value for x in sys.a] + products)
+    diag, weights = ints[:sys.d + 1], [0] + [scale * w for w in ints[sys.d + 1:]]
+    prev, cur = [0], [1]
+    for a, w in zip(diag, weights):
+        prev, cur = cur, [field.reduce(x - a * y - w * z)
+                          for x, y, z in zip([0] + cur, cur + [0], prev + [0, 0])]
+    return cur, scale
+
+
 def char_poly(sys: TridiagonalSystem) -> Poly:
-    """The monic characteristic polynomial of A, from the three-term recurrence."""
-    return monic_polys(sys)[sys.d + 1]
+    """The monic characteristic polynomial of A: the coefficient of x^k is q_k / L^(d+1-k)."""
+    field = sys.field
+    form, scale = char_form(sys)
+    top = len(form) - 1
+    return Poly(field, [field.quotient(c, scale ** (top - k)) for k, c in enumerate(form)])
 
 
 def cosine_recurrence(sys: TridiagonalSystem, theta: Scalar) -> tuple[tuple[Scalar, ...], Scalar]:
@@ -177,10 +208,11 @@ def compute_spectrum(sys: TridiagonalSystem,
     NotMultiplicityFree when A has fewer than d+1 distinct in-field
     eigenvalues.
     """
-    charpoly = char_poly(sys)
+    field = sys.field
     n = sys.d + 1
     if theta_hint is not None:
-        theta = tuple(sys.field.scalar(t) for t in theta_hint)
+        charpoly = char_poly(sys)
+        theta = tuple(field.scalar(t) for t in theta_hint)
         if len(theta) != n:
             raise HintInvalid(f"hint has {len(theta)} values, expected {n}")
         if len(set(theta)) != n:
@@ -189,13 +221,16 @@ def compute_spectrum(sys: TridiagonalSystem,
             if not charpoly(t).is_zero():
                 raise HintInvalid(f"{t} is not an eigenvalue")
     else:
-        roots = poly_roots_in_field(charpoly)
+        form, scale = char_form(sys)
+        roots = poly_roots_in_field(Poly(field, [field.scalar(c) for c in form]))
         if len(roots) != n:
             raise NotMultiplicityFree(
                 f"found {len(roots)} distinct in-field eigenvalues, need {n}")
-        theta = tuple(r for r, _ in roots)
+        # a root of q is L theta; L theta and theta do not sort alike once denominators differ.
+        # A value's numerator and denominator: a Fraction's over Q, (residue, 1) for an int over GF(p)
+        theta = tuple(sorted((field.quotient(r.value.numerator, r.value.denominator * scale)
+                              for r, _ in roots), key=Scalar.sort_key))
 
-    field = sys.field
     k = _dagger_diagonal(sys)
     k_ints, k_den = field.cleared([x.value for x in k])
     vectors = []

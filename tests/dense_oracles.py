@@ -14,18 +14,21 @@ of an adjacency graph are for the tests only.  The product, the elimination,
 the norms and a*_r as running sums of field values, one reduction or
 division at a time, are the references for the integer-form kernels; so
 are the witness of conditions (ii) and (iii) and delta*, built from Scalar
-rows and products and solved by the Scalar elimination.
+rows and products and solved by the Scalar elimination, and the spectrum
+with its characteristic polynomial built as a ``Poly`` of Scalars, the hint
+checked by evaluating that ``Poly`` and the roots searched on it.
 """
 from __future__ import annotations
 
 from dataclasses import replace
 from operator import mul
 
-from lpkit.errors import InternalInconsistency, NotConstant, ShapeMismatch
-from lpkit.exactmath import Matrix, Scalar
+from lpkit.errors import (HintInvalid, InternalInconsistency, NotConstant, NotMultiplicityFree,
+                          ShapeMismatch)
+from lpkit.exactmath import Matrix, Poly, Scalar, poly_roots_in_field
 from lpkit.leaf import leaf_by_ratio
 from lpkit.qpoly import RecurrenceWitness, solve_condition_ii, solve_witness
-from lpkit.system import _dagger_diagonal, realize_matrices
+from lpkit.system import Spectrum, _dagger_diagonal, cosine_recurrence, realize_matrices
 
 
 def matrix(field, rows):
@@ -123,6 +126,50 @@ def scalar_norm(k, v):
     for kk, x in zip(k, v):
         norm = norm + kk * x * x
     return norm
+
+
+def scalar_char_poly(sys_):
+    """det(lambda I - A) by the monic recurrence p_{i+1} = (x - a_i) p_i - b_{i-1} c_i p_{i-1} on Polys."""
+    field = sys_.field
+    lam = Poly.x(field)
+    prev, cur = Poly(field, []), Poly.constant(field, 1)
+    for i in range(sys_.d + 1):
+        weight = sys_.sup(i - 1) * sys_.sub(i) if i >= 1 else field.zero()
+        prev, cur = cur, lam * cur - cur * sys_.a[i] - prev * weight
+    return cur
+
+
+def scalar_spectrum(sys_, theta_hint=None):
+    """compute_spectrum with the characteristic polynomial, the hint check and the roots on Scalars."""
+    field = sys_.field
+    charpoly = scalar_char_poly(sys_)
+    n = sys_.d + 1
+    if theta_hint is not None:
+        theta = tuple(field.scalar(t) for t in theta_hint)
+        if len(theta) != n:
+            raise HintInvalid(f"hint has {len(theta)} values, expected {n}")
+        if len(set(theta)) != n:
+            raise HintInvalid("hint contains duplicates")
+        for t in theta:
+            if not charpoly(t).is_zero():
+                raise HintInvalid(f"{t} is not an eigenvalue")
+    else:
+        roots = poly_roots_in_field(charpoly)
+        if len(roots) != n:
+            raise NotMultiplicityFree(f"found {len(roots)} distinct in-field eigenvalues, need {n}")
+        theta = tuple(r for r, _ in roots)
+    k = _dagger_diagonal(sys_)
+    vectors, norms = [], []
+    for t in theta:
+        v, residual = cosine_recurrence(sys_, t)
+        if not residual.is_zero():
+            raise InternalInconsistency(f"cosine recurrence residual {residual} at eigenvalue {t}")
+        norm = scalar_norm(k, v)
+        if norm.is_zero():
+            raise InternalInconsistency(f"left and right eigenvectors of {t} are orthogonal")
+        vectors.append(v)
+        norms.append(norm)
+    return Spectrum(theta, tuple(vectors), tuple(norms), k)
 
 
 def scalar_dual_a(sys_, spec, r):

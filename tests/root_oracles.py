@@ -95,8 +95,9 @@ def divisor_roots(p: Poly) -> list[tuple[Scalar, int]]:
         denom_lcm = lcm(*(c.value.denominator for c in work.coeffs))
         ints = [c.value.numerator * (denom_lcm // c.value.denominator) for c in work.coeffs]
         candidates = set()
+        dens = _int_divisors(ints[-1])
         for num in _int_divisors(ints[0]):
-            for den in _int_divisors(ints[-1]):
+            for den in dens:
                 candidates.add(Fraction(num, den))
                 candidates.add(Fraction(-num, den))
         for cand in sorted(candidates):

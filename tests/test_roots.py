@@ -16,9 +16,9 @@ from lpkit.cli import main
 from lpkit.errors import InternalInconsistency
 from lpkit.exactmath import GF, RATIONALS, Poly, poly_roots_in_field
 from lpkit.instances import affine_transform, gen_krawtchouk, gen_random
-from lpkit.modular import _quadratic_roots, _sqrt_mod, is_prime, linear_powmod
+from lpkit.modular import _quadratic_roots, _sqrt_mod, is_prime, linear_powmod, rational_roots
 from lpkit.system import compute_spectrum
-from root_oracles import divisor_roots, repeated_powmod, scan_roots
+from root_oracles import divisor_roots, fraction_rational_roots, repeated_powmod, scan_roots
 
 PSEUDOPRIME = 3317044064679887385961981  # 1287836182261 * 2575672364521
 M61 = 2**61 - 1
@@ -113,12 +113,57 @@ def test_roots_cover_zero_repeated_and_fractional_cases():
 
 
 def test_rational_root_needs_the_full_lifting_bound():
-    # |n| d = 2^80 (1 + o(1)), so the lift must pass p^4 for p = 2^20 + 7
+    # |n| d = 2^80 (1 + o(1)), so the lift from p = 7 must pass 7^16 (about 2^45) to 7^32
     a, b = 1099526307891, 1099526307887
     poly = _product(RATIONALS, a, [Fraction(b, a)], [1, 0, 1])
     with _wall_bound(5):
         found = poly_roots_in_field(poly)
     assert [(r.value, m) for r, m in found] == [(Fraction(b, a), 1)]
+
+
+def _fractions(lead, roots, extra):
+    """lead * prod (x - r) * extra as Fractions, low degree first."""
+    return [c.value for c in _product(RATIONALS, lead, roots, extra).coeffs]
+
+
+# (coefficients, the prime the roots are found mod, the number of roots mod that prime):
+# every root mod that prime is lifted, and any that are no rational roots must be rejected
+_SMALL_PRIME_CASES = [
+    # 1..12 collide mod every prime up to 11, so 13 is the first prime keeping S squarefree
+    (_fractions(1, range(13), [1]), 13, 12),
+    # 2, 3, 5 and 7 divide the leading coefficient, 11 merges -1/2 and 5, 13 merges -1/2 and 3/7
+    (_fractions(210, [Fraction(-1, 2), Fraction(3, 7), Fraction(2, 15), 5, 2], [1]), 17, 5),
+    # zero split off twice; -1/2 twice and 7 once leave S = (2x + 1)(x - 7)(x^2 + 1): 2 divides
+    # its leading coefficient, 3 and 5 merge -1/2 and 7, and x^2 + 1 has no roots mod 7
+    (_fractions(Fraction(2, 3), [0, 0, Fraction(-1, 2), Fraction(-1, 2), 7], [1, 0, 1]), 7, 2),
+    # x^2 + 1 splits mod 5 into 2 and 3, which lift to the false candidates +-79/3
+    # ((79/3)^2 + 1 = 2 * 5^5 / 9): reconstruction accepts them and only division rejects them
+    (_fractions(3, [29], [1, 0, 1]), 5, 3),
+    # x^2 + 2 splits mod 3 into 1 and 2, which lift to the false candidates +-22 (22^2 + 2 = 2 * 3^5)
+    (_fractions(1, [12], [2, 0, 1]), 3, 3),
+    # the full lifting bound: |n| d = 2^80 (1 + o(1)), so the lift from 7 must pass 7^16
+    (_fractions(1099526307891, [Fraction(1099526307887, 1099526307891)], [1, 0, 1]), 7, 1),
+]
+
+
+@pytest.mark.parametrize("case", _SMALL_PRIME_CASES, ids=range(len(_SMALL_PRIME_CASES)))
+def test_rational_roots_are_found_mod_the_first_suitable_prime(case, monkeypatch):
+    f, prime, count = case
+    searches = []
+    find = lpkit.modular._roots_mod_p
+
+    def recording_find(g, p):
+        roots = find(g, p)
+        searches.append((p, len(roots)))
+        return roots
+
+    monkeypatch.setattr(lpkit.modular, "_roots_mod_p", recording_find)
+    with _wall_bound(5):
+        found = rational_roots(list(f))
+    assert searches == [(prime, count)]
+    assert found == fraction_rational_roots(list(f))
+    assert sorted(found, key=lambda rm: (rm[0].numerator, rm[0].denominator)) == [
+        (r.value, m) for r, m in divisor_roots(_poly(RATIONALS, f))]
 
 
 @st.composite
@@ -163,9 +208,11 @@ def test_root_finding_powers_once_at_full_degree(monkeypatch):
     assert calls == [8] and powerings.count(8) == 1
     calls.clear()
     powerings.clear()
-    # over Q the roots are found mod the first prime q >= 2^20 that keeps f squarefree: 1048583
-    q = 1048583
-    assert {pow(r % q, (q - 1) // 2, q) for r in (-3, 2, 5, 7)} == {1, q - 1}
+    # over Q the roots are found mod the first prime q that keeps f squarefree and of full
+    # degree: 7, as 2 divides the leading coefficient and 3 and 5 merge two roots; the root
+    # 7 = 0 mod 7 is divided out as x + 0 before the first split
+    q = 7
+    assert {pow(r % q, (q - 1) // 2, q) for r in (-3, 2, 5, 7)} == {0, 1, q - 1}
     found = poly_roots_in_field(_product(RATIONALS, Fraction(2, 3), [-3, 2, 5, 7], [1]))
     assert [r.value for r, _ in found] == [-3, 2, 5, 7]
     assert calls == [4] and powerings.count(4) == 1

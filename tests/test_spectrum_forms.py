@@ -1,0 +1,197 @@
+"""The spectrum against its Scalar reference: characteristic polynomial, hint check and roots.
+
+``dense_oracles.scalar_spectrum`` builds det(lambda I - A) as a ``Poly`` of
+Scalars, checks a hint by evaluating that ``Poly`` and searches its roots.
+``system.compute_spectrum`` must agree with it exactly: the same eigenvalues
+in the same order, the same cosine vectors, norms and dagger diagonal with
+the same value types and printed forms, and the same exception type and
+message, over Q (fractional diagonals and products b_{i-1} c_i included)
+and over GF(2), GF(3), GF(101) and GF(2^61 - 1).
+"""
+from __future__ import annotations
+
+import pathlib
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import lpkit.system
+from dense_oracles import scalar_spectrum
+from lpkit.cosine import rescale_superdiagonal
+from lpkit.errors import DivisionByZero
+from lpkit.exactmath import GF, RATIONALS, Scalar, char_poly_oracle
+from lpkit.instances import affine_transform, gen_krawtchouk, gen_random, parse_instance
+from lpkit.system import (TridiagonalSystem, char_poly, compute_spectrum, monic_polys,
+                          realize_matrices)
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+_FIELDS = [RATIONALS, GF(2), GF(3), GF(101), GF(2**61 - 1)]
+_BIG = 10**30
+# eigenvalues 2^i + 1/3 mapped by 2a/3 + 1/5, and (9 - 2i)/3 for i = 0..6: denominators 1 and 3
+_LEONARD = parse_instance((DATA / "leonard_q2_affine.lp").read_text(encoding="utf-8")).system
+_THIRD = parse_instance((DATA / "k6_third.lp").read_text(encoding="utf-8")).system
+
+
+def _values(field):
+    """Field values: zero, small and large integers, and fractions with large denominators."""
+    raw = (st.just(0) | st.integers(-5, 5) | st.integers(-_BIG, _BIG) | st.fractions(max_denominator=50)
+           | st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)))
+    if field.is_prime_field:  # a Fraction whose denominator vanishes mod p has no image
+        raw = raw.filter(lambda v: Fraction(v).denominator % field.modulus)
+    return raw.map(field.scalar)
+
+
+def _nonzero(field):
+    return _values(field).filter(lambda x: not x.is_zero())
+
+
+def _outcome(fn, *args):
+    """("value", result) or ("raise", exception type, message)."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return "raise", type(exc), str(exc)
+
+
+def _printed(spec):
+    """Every Scalar of a spectrum, as (value type, printed form), in order."""
+    scalars = [*spec.theta, *(x for v in spec.v for x in v), *spec.norm, *spec.k]
+    return [(type(x.value), str(x)) for x in scalars]
+
+
+def _assert_same(got, expected):
+    assert got == expected
+    if got[0] == "value":
+        assert _printed(got[1]) == _printed(expected[1])
+
+
+def _in_field(sys_, field):
+    """The system with its entries mapped into the field, or None when a denominator vanishes there."""
+    try:
+        return TridiagonalSystem(sys_.d, *(tuple(field.scalar(x.value) for x in xs) for xs in
+                                           (sys_.a, sys_.b, sys_.c, sys_.theta_star)), field)
+    except DivisionByZero:
+        return None
+
+
+@st.composite
+def _systems(draw):
+    """Affine Krawtchouk images (maybe rebased), the Leonard image, random pairs and free data."""
+    field = draw(st.sampled_from(_FIELDS))
+    values = _values(field)
+    kind = draw(st.sampled_from(("krawtchouk", "krawtchouk", "leonard", "random", "free")))
+    d = draw(st.integers(1, 7))
+    sys_ = None
+    if kind == "krawtchouk" and (not field.is_prime_field or field.modulus > 2 * d):
+        sys_, _ = gen_krawtchouk(d, field)
+        sys_ = affine_transform(sys_, draw(_nonzero(field)), draw(values),
+                                draw(_nonzero(field)), draw(values))
+        if draw(st.booleans()):  # a new superdiagonal: b and c change, b_{i-1} c_i does not
+            sys_ = rescale_superdiagonal(sys_, [draw(_nonzero(field)) for _ in range(d)])
+    elif kind == "leonard":
+        sys_ = _in_field(draw(st.sampled_from((_LEONARD, _THIRD))), field)
+    elif kind == "random" and field.is_prime_field and field.modulus > 2 * (d + 1):
+        sys_ = gen_random(d, field, draw(st.integers(0, 10**6)))
+    if sys_ is None:
+        sys_ = TridiagonalSystem(d, tuple(draw(values) for _ in range(d + 1)),
+                                 tuple(draw(_nonzero(field)) for _ in range(d)),
+                                 tuple(draw(_nonzero(field)) for _ in range(d)),
+                                 tuple(draw(values) for _ in range(d + 1)), field)
+    if draw(st.integers(0, 4)) == 0:  # one diagonal entry moved: the spectrum usually breaks
+        a = list(sys_.a)
+        a[draw(st.integers(0, sys_.d))] = draw(values)
+        sys_ = TridiagonalSystem(sys_.d, tuple(a), sys_.b, sys_.c, sys_.theta_star, field)
+    return sys_
+
+
+@st.composite
+def _hinted(draw):
+    """A system and a hint: none, the spectrum in any order, or one with defects applied."""
+    sys_ = draw(_systems())
+    field = sys_.field
+    kind = draw(st.sampled_from(("none", "spectrum", "spectrum", "defects")))
+    if kind == "none":
+        return sys_, None
+    found = _outcome(scalar_spectrum, sys_)
+    if found[0] == "value":
+        hint = list(draw(st.permutations(found[1].theta)))
+    else:
+        hint = [draw(_values(field)) for _ in range(sys_.d + 1)]
+    if kind == "defects":
+        for defect in draw(st.lists(st.sampled_from(("short", "long", "duplicate", "wrong", "raw",
+                                                     "foreign")), min_size=1, max_size=2)):
+            k = draw(st.integers(0, len(hint) - 1)) if hint else 0
+            if defect == "short" and hint:
+                del hint[k]
+            elif defect == "long":
+                hint.append(draw(_values(field)))
+            elif defect == "duplicate" and hint:
+                hint[k] = draw(st.sampled_from(hint))
+            elif defect == "wrong" and hint:
+                hint[k] = draw(_values(field))
+            elif defect == "raw":  # ints and Fractions are embedded into the field
+                hint = [x.value if isinstance(x, Scalar) else x for x in hint]
+            elif defect == "foreign" and hint:
+                other = draw(st.sampled_from([f for f in _FIELDS if f != field]))
+                hint[k] = other.one()
+    return sys_, hint
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hinted())
+@example((_THIRD, None))
+@example((_LEONARD, None))
+@example((_THIRD, [Fraction(1, 3)] * 7))
+@example((_THIRD, [0, 1, 2, 3, 4, 5]))
+@example((_THIRD, [3, 1, -1, Fraction(7, 3), Fraction(5, 3), Fraction(1, 3), Fraction(-2, 3)]))
+def test_spectrum_matches_the_scalar_reference(case):
+    sys_, hint = case
+    _assert_same(_outcome(compute_spectrum, sys_, hint), _outcome(scalar_spectrum, sys_, hint))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_systems())
+@example(_THIRD)
+@example(_LEONARD)
+def test_char_poly_matches_the_recurrence_and_berkowitz(sys_):
+    got = char_poly(sys_)
+    assert got == monic_polys(sys_)[sys_.d + 1] == char_poly_oracle(realize_matrices(sys_)[0])
+    assert [(type(c.value), str(c)) for c in got.coeffs] == [
+        (type(c.value), str(c)) for c in monic_polys(sys_)[sys_.d + 1].coeffs]
+
+
+def test_mixed_denominators_keep_the_canonical_order():
+    # L theta is an integer for every eigenvalue; sorted that way, -1/3 would come before 1
+    spec = compute_spectrum(_THIRD)
+    assert [str(t) for t in spec.theta] == ["-1", "-1/3", "1", "1/3", "3", "5/3", "7/3"]
+    _assert_same(("value", spec), ("value", scalar_spectrum(_THIRD)))
+
+
+class _RootStageDone(Exception):
+    pass
+
+
+def test_root_stage_builds_few_scalars(monkeypatch):
+    # d = 32 over Q, unhinted; the stage ends where the dagger diagonal begins.  With the
+    # characteristic polynomial built as a Poly of Scalars it built 3,600 Scalars; now 100
+    sys_ = parse_instance((DATA / "k32_affine.lp").read_text(encoding="utf-8")).system
+    built = []
+    original = Scalar.__init__
+
+    def counting(self, field, value):
+        built.append(value)
+        original(self, field, value)
+
+    def stop(sys_):
+        raise _RootStageDone
+
+    monkeypatch.setattr(Scalar, "__init__", counting)
+    monkeypatch.setattr(lpkit.system, "_dagger_diagonal", stop)
+    try:
+        compute_spectrum(sys_)
+    except _RootStageDone:
+        pass
+    else:
+        raise AssertionError("the root stage must end at the dagger diagonal")
+    assert len(built) <= 4 * (sys_.d + 1)

@@ -160,6 +160,24 @@ def test_delta_star_matches_the_scalar_checks(case):
     _assert_same(_outcome(compute_delta_star, *case), _outcome(scalar_delta_star, *case))
 
 
+@settings(max_examples=100, deadline=None)
+@given(_extended())
+def test_recurrence_implies_independence_and_the_product_identity(case):
+    # t*_{i+1} = beta t*_i - t*_{i-1} + gamma* at every i makes the delta* expression the same
+    # at every i and (t*_i - t*_{i-1})(t*_i - t*_{i+1}) = (2 - beta) t*_i^2 - 2 gamma* t*_i - delta*
+    ext, beta, gstar = case
+    outcome = _outcome(compute_delta_star, ext, beta, gstar)
+    if outcome[0] == "raise":
+        assert outcome[2].startswith("recurrence fails at i = ")
+        return
+    delta_star = outcome[1]
+    two = beta.field.scalar(2)
+    for prev, cur in zip(ext, ext[1:]):
+        assert prev * prev - beta * prev * cur + cur * cur - gstar * (prev + cur) == delta_star
+    for prev, t, nxt in zip(ext, ext[1:], ext[2:]):
+        assert (t - prev) * (t - nxt) == (two - beta) * t * t - two * gstar * t - delta_star
+
+
 def test_delta_star_on_the_witness_extensions():
     for field in _FIELDS:
         sys_ = _leonard_in(field)
