@@ -521,11 +521,13 @@ def char_poly_oracle(m: Matrix) -> Poly:
 def poly_roots_in_field(p: Poly) -> list[tuple[Scalar, int]]:
     """All roots of p lying in the ground field, with multiplicities.
 
-    Over GF(p): gcd with x^p - x and equal-degree splitting.  Over the
-    rationals: roots modulo a prime, Hensel-lifted and rebuilt by rational
-    reconstruction.  Each root's multiplicity comes from exact deflation
-    over GF(p), from exact integer division by m x - n for a rational root
-    n/m, and roots are returned in canonical order.
+    Over GF(q): evaluation at every residue when q is at most deg p times
+    the bit length of q, else gcd with x^q - x and equal-degree splitting.
+    Over the rationals: roots modulo a prime, Hensel-lifted past a root
+    bound and rebuilt by rational reconstruction.  Each root's multiplicity
+    comes from exact deflation over GF(q), from exact integer division by
+    m x - n for a rational root n/m, and roots are returned in canonical
+    order.
     """
     field = p.field
     if p.is_zero():

@@ -1,12 +1,15 @@
 """Algorithms on plain integers: primality, residue-list division, and root finding over GF(p) and Q.
 
 Polynomials over GF(p) are residue lists: ints in [0, p), low degree first,
-with no trailing zeros (the zero polynomial is []).  Polynomials over Q come
+with no trailing zeros (the zero polynomial is []).  Roots mod p come from
+evaluating at every residue when p is small against the degree, and from
+powering and equal-degree splitting otherwise.  Polynomials over Q come
 as lists of Fractions and are cleared to integer lists once; their roots
 are found modulo the first prime, counting up from 2, that keeps the
-squarefree part squarefree and of full degree, then lifted.  Nothing here
-knows about ``Scalar`` or ``Poly``; the wrapper costs about 15x per GF(p)
-multiply-add, so ``exactmath`` converts once and calls these functions.
+squarefree part squarefree and of full degree, then lifted until the
+modulus passes a root bound.  Nothing here knows about ``Scalar`` or
+``Poly``; the wrapper costs about 15x per GF(p) multiply-add, so
+``exactmath`` converts once and calls these functions.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ __all__ = ["is_prime", "divmod_residues", "monic", "linear_powmod", "prime_field
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_CHECK_PRIME = 2**61 - 1  # rules out repeated factors over Q for _rational_candidates
 
 
 def is_prime(n: int) -> bool:
@@ -264,19 +268,18 @@ def _quadratic_roots(g: list[int], p: int) -> list[int]:
 
 def _split_linear(g: list[int], shift: int, p: int, roots: list[int],
                   power: Optional[list[int]] = None) -> None:
-    """Append the roots of g, a monic product of distinct linear factors over GF(p).
+    """Append the roots of g, a monic product of distinct linear factors over GF(p), p odd.
 
-    For odd p a quadratic g is solved in closed form by one modular square
-    root.  Larger g are taken apart by equal-degree splitting with
-    deterministic shifts a = shift, shift+1, ...: gcd(g, (x + a)^((p-1)/2) - 1)
-    collects the roots r with r + a a nonzero square.  The factor x + a is
-    divided out first, so every residue is reached by the time a has run
-    through GF(p); for p = 2 that alone finds the roots.  power, when given,
-    is (x + shift)^((p-1)/2) reduced mod a multiple of g, so the first split
-    needs no powering of its own.
+    A quadratic g is solved in closed form by one modular square root.
+    Larger g are taken apart by equal-degree splitting with deterministic
+    shifts a = shift, shift+1, ...: gcd(g, (x + a)^((p-1)/2) - 1) collects the
+    roots r with r + a a nonzero square.  The factor x + a is divided out
+    first, so every residue is reached by the time a has run through GF(p).
+    power, when given, is (x + shift)^((p-1)/2) reduced mod a multiple of g,
+    so the first split needs no powering of its own.
     """
     while len(g) > 2:
-        if len(g) == 3 and p % 2:
+        if len(g) == 3:
             roots.extend(_quadratic_roots(g, p))
             return
         quo, value = _deflate_residues(g, -shift % p, p)
@@ -296,20 +299,35 @@ def _split_linear(g: list[int], shift: int, p: int, roots: list[int],
         roots.append(-g[0] % p)
 
 
-def _roots_mod_p(f: list[int], p: int) -> list[int]:
-    """The distinct roots in GF(p) of a nonzero residue list f, ascending.
+def _roots_by_evaluation(f: list[int], p: int) -> list[int]:
+    """The residues r with f(r) = 0 mod p, ascending: Horner's rule at every residue."""
+    values = [0] * p
+    residues = range(p)
+    for c in reversed(f):
+        values = [(v * r + c) % p for v, r in zip(values, residues)]
+    return [r for r, v in enumerate(values) if not v]
 
-    gcd(f, x^p - x) is the product of the distinct linear factors of f;
-    equal-degree splitting takes it apart.  For odd p, x^p is the square of
-    x^((p-1)/2) times x, and that x^((p-1)/2) is also the first splitting
-    power.  O(d^2 log p) operations mod p.
+
+def _roots_mod_p(f: list[int], p: int) -> list[int]:
+    """The distinct roots in GF(p) of a nonzero residue list f of degree d, ascending.
+
+    When p <= d bitlen(p), f is evaluated at every residue: p d operations
+    mod p, no more than the d^2 log p of the powering below.  That covers
+    p = 2 at every degree, so the powering only ever sees odd p.  Otherwise
+    gcd(f, x^p - x) is the product of the distinct linear factors of f, and
+    equal-degree splitting takes it apart; x^p is the square of x^((p-1)/2)
+    times x, and that x^((p-1)/2) is also the first splitting power.
+    O(d^2 log p) operations mod p.
     """
-    if len(f) < 2:
+    d = len(f) - 1
+    if d < 1:
         return []
-    *_, half, xp = _prefix_powers(0, p, monic(f, p), p)  # x^(p >> 1), x^p
+    if p <= d * p.bit_length():
+        return _roots_by_evaluation(f, p)
+    *_, half, xp = _prefix_powers(0, p, monic(f, p), p)  # x^((p-1)/2), x^p
     g = _gcd_residues(f, _sub_residues(xp, [0, 1], p), p)
     roots: list[int] = []
-    _split_linear(g, 0, p, roots, half if p % 2 else None)
+    _split_linear(g, 0, p, roots, half)
     return sorted(roots)
 
 
@@ -382,40 +400,68 @@ def _divide_linear(a: list[int], n: int, m: int) -> Optional[list[int]]:
     return quo if a[0] + n * acc == 0 else None
 
 
+def _squarefree_mod(f: list[int], deriv: list[int], p: int) -> bool:
+    """Whether the integer polynomial f, with derivative deriv, is squarefree and of full degree mod p."""
+    if f[-1] % p == 0:
+        return False
+    return len(_gcd_residues([c % p for c in f], _trim([c % p for c in deriv]), p)) == 1
+
+
+def _root_bound_bits(f: list[int]) -> int:
+    """A t >= 1 with |z| < B = 2^t for every complex root z of an integer polynomial f, f(0) != 0.
+
+    Fujiwara's bound 2 max_k |c_(n-k)/c_n|^(1/k), rounded up to a power of 2
+    from bit lengths alone: |c_(n-k)/c_n| < 2^e_k with
+    e_k = bitlen c_(n-k) - bitlen c_n + 1, and each e_k/k is rounded up.
+    """
+    top = abs(f[-1]).bit_length() - 1
+    return 1 + max(0, max(-((top - abs(c).bit_length()) // k)
+                          for k, c in enumerate(reversed(f[:-1]), 1) if c))
+
+
 def _rational_candidates(big: list[int]) -> list[Fraction]:
     """Candidate nonzero rational roots of an integer polynomial (constant term nonzero, degree >= 1).
 
     Roots of the squarefree part S, an integer polynomial, modulo the first
     prime p that keeps S squarefree and of full degree; each root is
-    Newton-lifted until p^k > 2 |S(0)| |lc(S)| and rebuilt by rational
-    reconstruction.  A rational root n/m of S has m dividing lc(S), so it
-    has an image mod p, and that image is a simple root there.  Every
-    rational root is therefore among the candidates; the caller confirms
-    each one by exact division.  The primes skipped all divide
-    lc(S) disc(S), so there are polynomially many in the size of S.
+    Newton-lifted until p^k > 2 N |lc(S)| and rebuilt by rational
+    reconstruction.  A rational root n/m of S in lowest terms has m dividing
+    lc(S), so it has an image mod p, and that image is a simple root there;
+    and |n/m| < B for the root bound B of ``_root_bound_bits``, so
+    |n| < N = B |lc(S)|.  The modulus thus grows with the size of one root,
+    not with that of their product S(0).  All roots are lifted together,
+    with S and S' reduced once per step.  Every rational root is therefore
+    among the candidates; the caller confirms each one by exact division.
+    The primes skipped all divide lc(S) disc(S), so there are polynomially
+    many in the size of S.  S is the polynomial itself, with no gcd over the
+    integers, when it is squarefree and of full degree mod 2^61 - 1, since
+    its discriminant is then nonzero.
     """
     deriv = [k * c for k, c in enumerate(big)][1:]
-    sq = _int_poly_divexact(big, _int_poly_gcd(big, deriv))
+    sq = big
+    if not _squarefree_mod(big, deriv, _CHECK_PRIME):
+        sq = _int_poly_divexact(big, _int_poly_gcd(big, deriv))
     dsq = [k * c for k, c in enumerate(sq)][1:]
     p = 2
-    while True:
-        if is_prime(p) and sq[-1] % p:
-            low = [c % p for c in sq]
-            if len(_gcd_residues(low, _trim([c % p for c in dsq]), p)) == 1:
-                break
+    while not (is_prime(p) and _squarefree_mod(sq, dsq, p)):
         p += 1
-    bound_num, bound_den = abs(sq[0]), abs(sq[-1])
-    out = []
-    for r in _roots_mod_p(low, p):
-        m = p
-        while m <= 2 * bound_num * bound_den:
-            m *= m
+    bound_den = abs(sq[-1])
+    bound_num = bound_den << _root_bound_bits(sq)
+    roots, m = _roots_mod_p([c % p for c in sq], p), p
+    while m <= 2 * bound_num * bound_den:
+        m *= m
+        top, dtop = [c % m for c in reversed(sq)], [c % m for c in reversed(dsq)]
+        lifted = []
+        for r in roots:
             value = dvalue = 0
-            for c in reversed(sq):
+            for c in top:
                 value = (value * r + c) % m
-            for c in reversed(dsq):
+            for c in dtop:
                 dvalue = (dvalue * r + c) % m
-            r = (r - value * pow(dvalue, -1, m)) % m
+            lifted.append((r - value * pow(dvalue, -1, m)) % m)
+        roots = lifted
+    out = []
+    for r in roots:
         cand = _rational_reconstruction(r, m, bound_num, bound_den)
         if cand is not None:
             out.append(cand)

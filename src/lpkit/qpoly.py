@@ -21,6 +21,14 @@ gamma* are cleared of denominators once, the rows of both conditions go as
 integers to ``exactmath.solve_rows``, and the recurrence check behind delta*
 is a zero test through ``FieldSpec.reduce``.  Each witness entry is one exact
 quotient.
+
+The witness depends on the system alone, so ``check --route both`` solves
+(ii) and (iii) once.  The direct route leaves the witness it solved for its
+printout, with the system object it belongs to, in a one-entry hand-off;
+the next theorem-route call takes the entry and empties it, and reads the
+witness only when it is asked about that same object.  Only the theorem
+route's verdict depends on the witness; the direct route prints it and
+decides from the graph alone.
 """
 from __future__ import annotations
 
@@ -196,6 +204,10 @@ def _joint_witness(sys: TridiagonalSystem, sol2) -> Optional[RecurrenceWitness]:
     return RecurrenceWitness(beta, gstar, gamma, omega, eta_star, delta_star, ext)
 
 
+# (system, witness) that the direct route solved last, until the theorem route takes it
+_handoff = [(None, None)]
+
+
 def _has_ratio_leaf(sys: TridiagonalSystem, spec: Spectrum) -> bool:
     """Whether leaf_by_ratio confirms some ordered pair (r, s), r != s.
 
@@ -227,23 +239,27 @@ def is_q_polynomial(sys: TridiagonalSystem, spec: Spectrum,
     if route == "direct":
         order = path_order(build_delta(sys, spec))
         witness = solve_witness(sys) if order is not None and sys.d >= 3 else None
+        _handoff[0] = (sys, witness)
         return QPolyVerdict(order is not None, "direct",
                             witness=witness, leonard_order=order)
     if route != "theorem":
         raise ValueError(f"unknown route {route!r}")
     if sys.d < 3:
         raise RouteUnavailable("the theorem route requires d >= 3")
+    solved_sys, witness = _handoff[0]
+    _handoff[0] = (None, None)
     # (i) some leaf is recognized by the ratio method
     if not _has_ratio_leaf(sys, spec):
         return QPolyVerdict(False, "theorem", failed_condition="i")
-    # (ii) the dual-eigenvalue recurrence is solvable
-    sol2 = solve_condition_ii(sys.theta_star)
-    if sol2 is None:
-        return QPolyVerdict(False, "theorem", failed_condition="ii")
-    # (iii) jointly with (ii), the trace-scalar fit is solvable
-    witness = _joint_witness(sys, sol2)
-    if witness is None:
-        return QPolyVerdict(False, "theorem", failed_condition="iii")
+    if solved_sys is not sys or witness is None:  # else the witness shows (ii) and (iii)
+        # (ii) the dual-eigenvalue recurrence is solvable
+        sol2 = solve_condition_ii(sys.theta_star)
+        if sol2 is None:
+            return QPolyVerdict(False, "theorem", failed_condition="ii")
+        # (iii) jointly with (ii), the trace-scalar fit is solvable
+        witness = _joint_witness(sys, sol2)
+        if witness is None:
+            return QPolyVerdict(False, "theorem", failed_condition="iii")
     # (iv) theta*_i != theta*_0 for i >= 1
     if any(sys.theta_star[i] == sys.theta_star[0] for i in range(1, sys.d + 1)):
         return QPolyVerdict(False, "theorem", failed_condition="iv")

@@ -1,6 +1,8 @@
 """Both Q-polynomiality routes, the recurrence witness, and the cubic identity."""
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
 from collections import Counter
@@ -8,12 +10,16 @@ from collections import Counter
 from dense_oracles import bumped_witnesses, pair_scan_theorem_route, ratio_pair_scan
 import lpkit.leaf
 import lpkit.qpoly
+from lpkit.cli import main
 from lpkit.errors import NotConstant, RouteUnavailable
 from lpkit.exactmath import GF, RATIONALS, Matrix, solve_affine
 from lpkit.instances import affine_transform, gen_krawtchouk, gen_random, mutate_theta_star
 from lpkit.qpoly import (compute_delta_star, extend_dual_eigenvalues,
                          is_q_polynomial, solve_condition_ii, solve_witness, verify_aw2)
 from lpkit.system import TridiagonalSystem, compute_spectrum, make_system
+
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def _scalars(*values):
@@ -231,3 +237,45 @@ def test_theorem_route_condition_i_is_linear_in_dual_a_calls(monkeypatch):
     monkeypatch.setattr(lpkit.leaf, "dual_a", counting)
     assert is_q_polynomial(sys_, spec, route="theorem").failed_condition == "i"
     assert 0 < len(calls) <= 2 * (sys_.d + 1)
+
+
+def test_check_both_solves_the_witness_once(monkeypatch, capsys):
+    # a positive d = 4 pair: the direct route solves (ii) and (iii) for its printout and the
+    # theorem route reads that witness; either route alone still solves and prints it
+    path = str(DATA / "k4_affine.lp")
+    calls = []
+    original = lpkit.qpoly._joint_witness
+
+    def counting(sys_, sol2):
+        calls.append(sys_)
+        return original(sys_, sol2)
+
+    monkeypatch.setattr(lpkit.qpoly, "_joint_witness", counting)
+    assert main(["check", path, "--route", "both", "--machine"]) == 0
+    witness = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("witness ")]
+    assert len(calls) == 1 and len(witness) == 2 and witness[0] == witness[1]
+    for route in ("direct", "theorem"):
+        calls.clear()
+        assert main(["check", path, "--route", route, "--machine"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(calls) == 1 and [ln for ln in lines if ln.startswith("witness ")] == witness[:1]
+
+
+def test_a_handed_off_witness_is_read_only_for_its_own_system():
+    # planted leaves share the positive pair's spectrum object and pass (i); each is decided
+    # right after the direct route solved the positive pair's witness, which a hand-off
+    # keyed to the spectrum would give to those that fail (ii)
+    sys_, theta = gen_krawtchouk(5)
+    spec = compute_spectrum(sys_, theta_hint=theta)
+    seen = Counter()
+    for r in range(6):
+        for s in range(6):
+            if r == s:
+                continue
+            planted = _plant_leaf(sys_, spec, r, s)
+            assert is_q_polynomial(sys_, spec, route="direct").witness is not None
+            verdict = is_q_polynomial(planted, spec, route="theorem")
+            expected = pair_scan_theorem_route(planted, spec)
+            assert (verdict.qpoly, verdict.failed_condition) == expected
+            seen[verdict.failed_condition] += 1
+    assert seen == {"ii": 10, "iv": 18, None: 2}

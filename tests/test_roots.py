@@ -16,8 +16,9 @@ from lpkit.cli import main
 from lpkit.errors import InternalInconsistency
 from lpkit.exactmath import GF, RATIONALS, Poly, poly_roots_in_field
 from lpkit.instances import affine_transform, gen_krawtchouk, gen_random
-from lpkit.modular import _quadratic_roots, _sqrt_mod, is_prime, linear_powmod, rational_roots
-from lpkit.system import compute_spectrum
+from lpkit.modular import (_quadratic_roots, _root_bound_bits, _sqrt_mod, is_prime, linear_powmod,
+                           rational_roots)
+from lpkit.system import char_form, compute_spectrum
 from root_oracles import divisor_roots, fraction_rational_roots, repeated_powmod, scan_roots
 
 PSEUDOPRIME = 3317044064679887385961981  # 1287836182261 * 2575672364521
@@ -40,7 +41,10 @@ def _product(field, lead, roots, extra):
 @st.composite
 def _prime_field_polys(draw):
     # p - 1 for 17, 97, 257, 10009 and 65537 has 2-adic order 4, 5, 8, 3 and 16, so quadratic
-    # factors there take the Tonelli-Shanks loop; 3, 7, 10007 take the single powering
+    # factors there take the Tonelli-Shanks loop; 3, 7, 10007 take the single powering.
+    # Degrees reach 10, so 97 and up are always powered and split (p > 10 bitlen(p)); 2 is
+    # always evaluated at every residue, and 3, 5, 7 and 17 once the degree reaches 2, 2, 3
+    # and 4 (p <= d bitlen(p))
     p = draw(st.sampled_from([2, 3, 5, 7, 17, 97, 101, 257, 10007, 10009, 65537]))
     roots = draw(st.lists(st.integers(0, min(p - 1, 12)) | st.integers(0, p - 1), max_size=6))
     extra = draw(st.lists(st.integers(0, p - 1), max_size=4)) + [draw(st.integers(1, p - 1))]
@@ -121,13 +125,89 @@ def test_rational_root_needs_the_full_lifting_bound():
     assert [(r.value, m) for r, m in found] == [(Fraction(b, a), 1)]
 
 
+def _recording(monkeypatch, name, log):
+    """Replace lpkit.modular.<name> by a wrapper that appends its arguments to log."""
+    original = getattr(lpkit.modular, name)
+
+    def recording(*args):
+        log.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lpkit.modular, name, recording)
+
+
+def _fujiwara_bits(f):
+    """The least t with 2 max_k |c_(n-k)/c_n|^(1/k) <= 2^t, by exact integer comparisons."""
+    n, lead = len(f) - 1, abs(f[-1])
+    exps = []
+    for k in range(1, n + 1):
+        c = abs(f[n - k])
+        if c:
+            s = -(lead.bit_length() // k) - 1  # 2^(s k) |c_n| < 1 <= |c_(n-k)|
+            while (lead << (s * k) < c) if s >= 0 else (lead < c << (-s * k)):
+                s += 1
+            exps.append(s)
+    return 1 + max(exps)
+
+
+_J = (2**80 - 1) // 3
+
+
+# (integer coefficients low degree first, the rational roots) where Fujiwara's bound is tight
+_TIGHT_BOUND_CASES = [
+    # a single large root times x^2 + 1: B = 2^202 against the root 2^200 + 1
+    ([-(2**200 + 1), 1, -(2**200 + 1), 1], [2**200 + 1]),
+    # roots +-2^150 times x^2 + 1: B = 2^151, twice the roots
+    ([-2**300, 0, 1 - 2**300, 0, 1], [-2**150, 2**150]),
+    # roots 4J and -J with 3J = 2^80 - 1: max(|c_1|, |c_0|^(1/2)) = 2^80 - 1 is below the
+    # root 4J, so Fujiwara's factor 2 is needed, and B = 2^81
+    ([-4 * _J * _J, -3 * _J, 1], [-_J, 4 * _J]),
+    # (3x + J)(3x - 4J): the same roots over 3, which divides the leading coefficient 9
+    ([-4 * _J * _J, -9 * _J, 9], [Fraction(-_J, 3), Fraction(4 * _J, 3)]),
+]
+
+
+@pytest.mark.parametrize("case", _TIGHT_BOUND_CASES, ids=range(len(_TIGHT_BOUND_CASES)))
+def test_rational_roots_up_to_a_tight_root_bound(case, monkeypatch):
+    f, roots = case
+    t = _root_bound_bits(f)
+    largest = max(abs(r) for r in roots)
+    assert largest < 2**t <= 4 * largest and t == _fujiwara_bits(f)
+    moduli = []
+    _recording(monkeypatch, "_rational_reconstruction", moduli)
+    with _wall_bound(5):
+        found = rational_roots([Fraction(c) for c in f])
+    assert sorted(found) == [(Fraction(r), 1) for r in roots]
+    assert all(m <= (2 * 2**t * f[-1] ** 2) ** 2 for _, m, _, _ in moduli)
+
+
+def test_lift_stops_at_the_root_bound_not_at_the_constant_term(monkeypatch):
+    # Q, d = 128 affine Krawtchouk image: q is monic with |q(0)| of 923 bits and B = 2^12 of
+    # 13, so one squaring past the bound stays far below the old 2 |q(0)|
+    image = affine_transform(gen_krawtchouk(128)[0], 3, 7, Fraction(-5, 3), Fraction(1, 2))
+    q, scale = char_form(image)
+    t = _fujiwara_bits(q)
+    assert scale == 1 and q[-1] == 1 and abs(q[0]).bit_length() == 923 and (2**t).bit_length() == 13
+    searches, moduli = [], []
+    _recording(monkeypatch, "_roots_mod_p", searches)
+    _recording(monkeypatch, "_rational_reconstruction", moduli)
+    with _wall_bound(5):
+        found = rational_roots([Fraction(c) for c in q])
+    assert sorted(r for r, _ in found) == sorted(3 * (128 - 2 * i) + 7 for i in range(129))
+    [(_, p)] = searches
+    assert len(moduli) == 129 and all(m <= max(p, (2 * 2**t) ** 2) for _, m, _, _ in moduli)
+
+
 def _fractions(lead, roots, extra):
     """lead * prod (x - r) * extra as Fractions, low degree first."""
     return [c.value for c in _product(RATIONALS, lead, roots, extra).coeffs]
 
 
 # (coefficients, the prime the roots are found mod, the number of roots mod that prime):
-# every root mod that prime is lifted, and any that are no rational roots must be rejected
+# every root mod that prime is lifted, and any that are no rational roots must be rejected.
+# Every one of these primes is at most d bitlen(p) for the degree d of its squarefree part,
+# so the roots mod p are found by evaluation; test_root_finding_powers_once_at_full_degree
+# and the GF(p) properties cover the powering side
 _SMALL_PRIME_CASES = [
     # 1..12 collide mod every prime up to 11, so 13 is the first prime keeping S squarefree
     (_fractions(1, range(13), [1]), 13, 12),
@@ -185,9 +265,11 @@ def test_linear_powmod_matches_repeated_multiplication(case):
 
 
 def test_root_finding_powers_once_at_full_degree(monkeypatch):
-    # x^((p-1)/2), met on the way to x^p, is reused as the first splitting power
-    calls, powerings = [], []
+    # x^((p-1)/2), met on the way to x^p, is reused as the first splitting power; a small p
+    # (p <= d bitlen(p) at degree d) is evaluated at every residue instead, with no powering
+    calls, powerings, evaluations = [], [], []
     find, power = lpkit.modular._roots_mod_p, lpkit.modular._prefix_powers
+    evaluate = lpkit.modular._roots_by_evaluation
 
     def counting_find(f, p):
         calls.append(len(f) - 1)
@@ -197,8 +279,13 @@ def test_root_finding_powers_once_at_full_degree(monkeypatch):
         powerings.append(len(f) - 1)
         return power(shift, e, f, p)
 
+    def counting_evaluate(f, p):
+        evaluations.append((len(f) - 1, p))
+        return evaluate(f, p)
+
     monkeypatch.setattr(lpkit.modular, "_roots_mod_p", counting_find)
     monkeypatch.setattr(lpkit.modular, "_prefix_powers", counting_power)
+    monkeypatch.setattr(lpkit.modular, "_roots_by_evaluation", counting_evaluate)
     # f splits into distinct linear factors, so the first split is mod f itself; residues
     # and non-residues mod p both among the roots make that split proper
     p = 10007
@@ -209,21 +296,30 @@ def test_root_finding_powers_once_at_full_degree(monkeypatch):
     calls.clear()
     powerings.clear()
     # over Q the roots are found mod the first prime q that keeps f squarefree and of full
-    # degree: 7, as 2 divides the leading coefficient and 3 and 5 merge two roots; the root
-    # 7 = 0 mod 7 is divided out as x + 0 before the first split
+    # degree: 7, as 2 divides the leading coefficient and 3 and 5 merge two roots; as
+    # 7 <= 4 bitlen(7) = 12, f is evaluated at each of the 7 residues and nothing is powered
     q = 7
-    assert {pow(r % q, (q - 1) // 2, q) for r in (-3, 2, 5, 7)} == {0, 1, q - 1}
+    assert q <= 4 * q.bit_length()
     found = poly_roots_in_field(_product(RATIONALS, Fraction(2, 3), [-3, 2, 5, 7], [1]))
     assert [r.value for r, _ in found] == [-3, 2, 5, 7]
-    assert calls == [4] and powerings.count(4) == 1
-    # for odd p, quadratic factors are solved by a square root: no powering at degree 2
-    assert 2 not in powerings
+    assert calls == [4] and evaluations == [(4, q)] and powerings == []
+    calls.clear()
+    evaluations.clear()
+    # for odd p, quadratic factors are solved by a square root: no powering at degree 2.
+    # 101 > 4 bitlen(101) = 28 is powered; 1 and 4 are squares mod 101 and 2 and 3 are not,
+    # so the first split leaves two quadratics
+    p = 101
+    assert [pow(r, (p - 1) // 2, p) for r in (1, 4, 2, 3)] == [1, 1, p - 1, p - 1]
+    found = poly_roots_in_field(_product(GF(p), 1, [1, 4, 2, 3], [1]))
+    assert [r.value for r, _ in found] == [1, 2, 3, 4]
+    assert calls == [4] and powerings == [4] and evaluations == []
     calls.clear()
     powerings.clear()
-    # over GF(2), x^2 + x splits by dividing out x + 0: only the full-degree x^p
+    # over GF(2), x^2 + x is evaluated at 0 and 1 (2 <= d bitlen(2) at every degree d):
+    # no powering at all
     found = poly_roots_in_field(_poly(GF(2), [0, 1, 1]))
     assert [(r.value, m) for r, m in found] == [(0, 1), (1, 1)]
-    assert calls == [2] and powerings == [2]
+    assert calls == [2] and evaluations == [(2, 2)] and powerings == []
 
 
 @pytest.mark.parametrize("p", [3, 5, 13, 17, 97, 257])
