@@ -3,7 +3,14 @@
 Polynomials over GF(p) are residue lists: ints in [0, p), low degree first,
 with no trailing zeros (the zero polynomial is []).  Roots mod p come from
 evaluating at every residue when p is small against the degree, and from
-powering and equal-degree splitting otherwise.  Polynomials over Q come
+powering and equal-degree splitting otherwise.  The powering carries its
+power as one integer, the coefficients in consecutive slots of w bits,
+from the first bit to the last; polynomial Barrett reduction divides by f
+in two integer products, and slot-wise Barrett passes reduce every slot
+mod p at once, keeping each in [0, 3p).  w and the number of passes follow
+from the largest slot any product makes, n (3p - 1)^2 for f of degree n:
+w is its bit length plus 2, and a pass maps a slot bound X to
+2p + p X / 4^bitlen(p) (see ``_prefix_powers``).  Polynomials over Q come
 as lists of Fractions and are cleared to integer lists once; their roots
 are found modulo the first prime, counting up from 2, that keeps the
 squarefree part squarefree and of full degree, then lifted until the
@@ -15,8 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import mul
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import InternalInconsistency
 
@@ -141,60 +147,84 @@ def monic(f: list[int], p: int) -> list[int]:
     return [c * inv % p for c in f]
 
 
-def _pack(coeffs: list[int], width: int) -> int:
-    """The integer with coeffs in consecutive slots of width bytes, lowest first."""
-    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
+def _prefix_powers(shift: int, e: int, f: list[int], p: int) -> Iterator[Callable[[], list[int]]]:
+    """Yield, for k = t-1, ..., 0, a function returning (x + shift)^(e >> k) mod a monic f.
 
+    f has degree n >= 1, 0 <= shift < p, and t is the bit length of e (1 for
+    e = 0), so the last prefix is the power itself.  Left to right, one bit
+    per step: a squaring, a division by f, and on a set bit a multiply by
+    x + shift.  The power stays one integer, its n coefficients in slots of
+    w bits, each in [0, 3p), from the first bit to the last:
 
-def _unpack(value: int, count: int, width: int, p: int) -> list[int]:
-    """The lowest count slots of value, each reduced mod p."""
-    raw = value.to_bytes(count * width, "little")
-    return [int.from_bytes(raw[k:k + width], "little") % p for k in range(0, count * width, width)]
+    - the square is one integer product of 2n - 1 slots;
+    - its high n - 1 slots H are divided by f by polynomial Barrett
+      reduction: the quotient Q is the top n - 1 slots of H mu, where
+      mu = x^(2n-1) div f is computed once, so the remainder is the low n
+      slots of the square plus the low n slots of Q g, g = -f mod p
+      without its leading 1;
+    - x + shift multiplies as a shift by one slot plus a scalar product,
+      and the top slot c folds back as c g.
 
-
-def _times_linear(a: list[int], shift: int, f: list[int], p: int) -> list[int]:
-    """a (x + shift) mod a monic f, for a of deg f coefficients (trailing zeros kept)."""
-    top = a[-1]
-    return [(shift * a[0] - top * f[0]) % p] + [
-        (x + shift * y - top * z) % p for x, y, z in zip(a, a[1:], f[1:-1])]
-
-
-def _prefix_powers(shift: int, e: int, f: list[int], p: int) -> Iterator[list[int]]:
-    """Yield (x + shift)^(e >> k) mod a monic f of degree n >= 1 for k = b-1, ..., 0.
-
-    b is the bit length of e (1 for e = 0), so the last value is the power
-    itself.  Left to right, one bit per step: a squaring, then on a set bit
-    a multiply by x + shift in O(n).  The square is one integer squaring of
-    the coefficients packed into slots wide enough for every unreduced sum
-    below 2 n p^2 (Kronecker substitution).  Its slots above x^(n-1) are
-    reduced mod p and folded back through the packed x^(n+m) mod f,
-    m = 0..n-2, so each coefficient is reduced once per step.
+    After each product every slot is reduced mod p at once by slot-wise
+    Barrett passes X -= ((((X >> (b-1)) & M) m >> (b+1)) & M) p, where b is
+    the bit length of p, m = 4^b div p and M keeps the low w - b - 1 bits of
+    every slot.  A pass keeps a slot below 2^(w-2) inside its w bits and
+    takes it from X to below 2p + p X / 4^b, so to [0, 3p) once X < 4^b.
+    No product makes a slot above n (3p - 1)^2, the square's bound, so w
+    is the bit length of that bound plus 2, about 2 bitlen(p) + bitlen(n)
+    + 6, and the number of passes is how many the bound takes to fall
+    below 3p: two unless n is large against p.  A prefix is unpacked into
+    residues in [0, p) only when its function is called.
     """
     n = len(f) - 1
-    width = (2 * p.bit_length() + n.bit_length() + 8) // 8
-    folds = []
-    row = [-c % p for c in f[:-1]]  # x^n mod f
-    for _ in range(n - 1):
-        folds.append(_pack(row, width))
-        row = _times_linear(row, 0, f, p)
-    low_mask = (1 << (8 * width * n)) - 1
-    coeffs = [1] + [0] * (n - 1)
+    b = p.bit_length()
+    bound = n * (3 * p - 1) ** 2
+    width = bound.bit_length() + 2
+    passes = 0
+    while bound >= 3 * p:
+        bound = 2 * p + (p * bound >> 2 * b)
+        passes += 1
+    barrett = 4**b // p
+    slot_bits = (1 << (width - b - 1)) - 1
+    mask = sum(slot_bits << (width * k) for k in range(2 * n))
+    slot = (1 << width) - 1
+    low = (1 << (width * n)) - 1
+
+    def packed(coeffs: list[int]) -> int:
+        return sum(c << (width * k) for k, c in enumerate(coeffs))
+
+    def reduced(x: int) -> int:
+        for _ in range(passes):
+            x -= (((x >> (b - 1) & mask) * barrett >> (b + 1)) & mask) * p
+        return x
+
+    def residues(x: int) -> Callable[[], list[int]]:
+        return lambda: _trim([(x >> (width * k) & slot) % p for k in range(n)])
+
+    mu = packed(divmod_residues([0] * (2 * n - 1) + [1], f, p)[0])
+    neg_f = packed([-c % p for c in f[:-1]])
+    power = 1
     for bit in bin(e)[2:]:
-        packed = _pack(coeffs, width)
-        square = packed * packed
-        high = _unpack(square >> (8 * width * n), n - 1, width, p)
-        coeffs = _unpack((square & low_mask) + sum(map(mul, high, folds)), n, width, p)
+        square = reduced(power * power)
+        quo = reduced((square >> (width * n)) * mu >> (width * (n - 1)))
+        power = reduced((square & low) + (quo * neg_f & low))
         if bit == "1":
-            coeffs = _times_linear(coeffs, shift, f, p)
-        yield _trim(list(coeffs))
+            top = power >> (width * (n - 1))
+            power = reduced(((power << width) + shift * power + top * neg_f) & low)
+        yield residues(power)
 
 
 def linear_powmod(shift: int, e: int, f: list[int], p: int) -> list[int]:
-    """(x + shift)^e mod a nonzero residue list f, by left-to-right powering."""
+    """(x + shift)^e mod a nonzero residue list f, by left-to-right powering.
+
+    The power is carried packed, every coefficient in one slot of a single
+    integer kept in [0, 3p) by slot-wise Barrett passes (see
+    ``_prefix_powers``); only the last prefix is unpacked.
+    """
     if len(f) < 2:
         return []
     *_, power = _prefix_powers(shift % p, e, monic(f, p), p)
-    return power
+    return power()
 
 
 def _sub_residues(a: list[int], b: list[int], p: int) -> list[int]:
@@ -325,9 +355,9 @@ def _roots_mod_p(f: list[int], p: int) -> list[int]:
     if p <= d * p.bit_length():
         return _roots_by_evaluation(f, p)
     *_, half, xp = _prefix_powers(0, p, monic(f, p), p)  # x^((p-1)/2), x^p
-    g = _gcd_residues(f, _sub_residues(xp, [0, 1], p), p)
+    g = _gcd_residues(f, _sub_residues(xp(), [0, 1], p), p)
     roots: list[int] = []
-    _split_linear(g, 0, p, roots, half)
+    _split_linear(g, 0, p, roots, half())
     return sorted(roots)
 
 

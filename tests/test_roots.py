@@ -250,14 +250,28 @@ def test_rational_roots_are_found_mod_the_first_suitable_prime(case, monkeypatch
 def _powerings(draw):
     p = draw(st.sampled_from([2, 3, 5, 7, 101, 10007, M61]))
     residues = st.integers(0, p - 1) | st.sampled_from([0, p - 1])  # p - 1 fills the slots most
-    degree = draw(st.integers(1, 16))  # degrees past 8 fill the slots of the packed square
+    degree = draw(st.integers(1, 16))  # a degree large against p takes more Barrett passes
     f = draw(st.lists(residues, min_size=degree, max_size=degree)) + [draw(st.integers(1, p - 1))]
     return draw(residues), draw(st.sampled_from([0, 1, (p - 1) // 2, p])), f, p
+
+
+def _kernel_bounds(test):
+    """Explicit examples at the bounds of the packed powering: every coefficient and the shift p - 1.
+
+    Each prime meets each exponent 0, 1, (p - 1)/2 and p once across the degrees 1, 2, 16 and 33,
+    and each degree meets every exponent.  p = 2 is powered by ``gen random --field 2``.
+    """
+    for i, p in enumerate([2, 3, 5, 7, 10007, M61]):
+        for j, degree in enumerate([1, 2, 16, 33]):
+            e = [0, 1, (p - 1) // 2, p][(i + j) % 4]
+            test = example((p - 1, e, [p - 1] * (degree + 1), p))(test)
+    return test
 
 
 @settings(max_examples=150, deadline=None)
 @given(_powerings())
 @example((100, 101, [100] * 16 + [1], 101))  # the largest slot sums at p = 101, degree 16
+@_kernel_bounds
 def test_linear_powmod_matches_repeated_multiplication(case):
     # f is drawn with any nonzero leading coefficient, so non-monic moduli are covered
     shift, e, f, p = case
