@@ -21,6 +21,6 @@ from .leaf import (LeafVerdict, appendix_a, appendix_b, leaf_by_ratio,
 from .qpoly import (QPolyVerdict, RecurrenceWitness, is_q_polynomial,
                     solve_witness, verify_aw2)
 from .system import (Spectrum, TridiagonalSystem, char_poly, compute_spectrum, dual_a,
-                     make_system, realize_matrices, validate_system)
+                     eigenvalues, make_system, realize_matrices, validate_system)
 
 __version__ = "0.1.0"

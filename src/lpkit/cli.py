@@ -20,7 +20,7 @@ from .exactmath import GF, RATIONALS
 from .instances import Instance, gen_krawtchouk, gen_random, parse_instance, serialize_instance
 from .leaf import appendix_a, appendix_b, leaf_by_ratio, leaf_by_recurrence, leaf_by_subspace
 from .qpoly import QPolyVerdict, RecurrenceWitness, is_q_polynomial, solve_witness, verify_aw2
-from .system import compute_spectrum
+from .system import compute_spectrum, eigenvalues
 
 __all__ = ["main"]
 
@@ -33,14 +33,12 @@ _LEAF_METHODS = {
 }
 
 
-def _load(path: str):
+def _read(path: str) -> Instance:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            inst = parse_instance(fh.read())
+            return parse_instance(fh.read())
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from exc
-    spec = compute_spectrum(inst.system, theta_hint=inst.theta)
-    return inst, spec
 
 
 def _emit(inst: Instance, out: Optional[str]) -> None:
@@ -91,7 +89,8 @@ def _report_check(verdict: QPolyVerdict, machine: bool) -> None:
 
 
 def _cmd_check(args) -> int:
-    inst, spec = _load(args.file)
+    inst = _read(args.file)
+    spec = compute_spectrum(inst.system, theta_hint=inst.theta)
     verdicts = []
     routes = ("direct", "theorem") if args.route == "both" else (args.route,)
     for route in routes:
@@ -113,8 +112,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_delta(args) -> int:
-    inst, spec = _load(args.file)
-    g = build_delta(inst.system, spec)
+    inst = _read(args.file)
+    g = build_delta(inst.system, compute_spectrum(inst.system, theta_hint=inst.theta))
     edges = g.edges()
     degrees = [g.degree(i) for i in range(g.n)]
     if args.machine:
@@ -128,7 +127,8 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_leaf(args) -> int:
-    inst, spec = _load(args.file)
+    inst = _read(args.file)
+    spec = compute_spectrum(inst.system, theta_hint=inst.theta)
     method = _LEAF_METHODS[args.method]
     kwargs = {"paranoid": True} if (args.paranoid and args.method == "appendix-a") else {}
     try:
@@ -186,7 +186,16 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify_aw2(args) -> int:
-    inst, _ = _load(args.file)  # the spectrum is unused; hint and multiplicity errors still exit 2
+    """Solve the recurrence witness and re-confirm the cubic identity with it.
+
+    The identity's entries are the conditions that ``solve_witness`` has
+    just solved, so a witness found always passes ("identity fails" would
+    mean an internal error), and no witness from elsewhere is checked.
+    Only the eigenvalue stage runs before it, so hint and multiplicity
+    errors exit 2 as in ``check``, and no idempotent factor is built.
+    """
+    inst = _read(args.file)
+    eigenvalues(inst.system, inst.theta)
     witness = solve_witness(inst.system)
     if witness is None:
         print("denied: no recurrence witness exists")
@@ -199,10 +208,11 @@ def _cmd_verify_aw2(args) -> int:
 
 
 def _cmd_rebase(args) -> int:
-    inst, spec = _load(args.file)
+    inst = _read(args.file)
+    thetas = eigenvalues(inst.system, inst.theta)  # hint and multiplicity errors exit 2 first
     field = inst.system.field
     if args.search:
-        for theta in spec.theta:  # already in canonical order
+        for theta in thetas:  # hint order if the file has a hint, canonical order otherwise
             try:
                 rebased = rebase_to_row_sum(inst.system, theta)
             except CosineVanishes:
@@ -270,7 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--theta", help="target row sum (must be an eigenvalue)")
     group.add_argument("--search", action="store_true",
-                       help="try eigenvalues in canonical order")
+                       help="try eigenvalues in hint order, or in canonical "
+                            "order when the file has no hint")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_rebase)
     return parser

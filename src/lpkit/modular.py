@@ -10,7 +10,7 @@ in two integer products, and slot-wise Barrett passes reduce every slot
 mod p at once, keeping each in [0, 3p).  w and the number of passes follow
 from the largest slot any product makes, n (3p - 1)^2 for f of degree n:
 w is its bit length plus 2, and a pass maps a slot bound X to
-2p + p X / 4^bitlen(p) (see ``_prefix_powers``).  Polynomials over Q come
+2p + p X / 4^bitlen(p) (see ``_slot_reducer``).  Polynomials over Q come
 as lists of Fractions and are cleared to integer lists once; their roots
 are found modulo the first prime, counting up from 2, that keeps the
 squarefree part squarefree and of full degree, then lifted until the
@@ -147,6 +147,40 @@ def monic(f: list[int], p: int) -> list[int]:
     return [c * inv % p for c in f]
 
 
+def _slot_reducer(p: int, n: int) -> tuple[int, Callable[[int], int]]:
+    """The slot width w of a power mod f of degree n, and the reduction of every slot mod p.
+
+    The function takes an integer of up to 2n slots of w bits, each at most
+    n (3p - 1)^2, and returns it with every slot congruent mod p and in
+    [0, 3p).  It runs slot-wise Barrett passes
+    X -= ((((X >> (b-1)) & M) m >> (b+1)) & M) p, where b is the bit length
+    of p, m = 4^b div p and M keeps the low w - b - 1 bits of every slot.  A
+    pass keeps a slot below 2^(w-2) inside its w bits and takes it from X to
+    below 2p + p X / 4^b, so to [0, 3p) once X < 4^b.  No product of
+    ``_prefix_powers`` makes a slot above n (3p - 1)^2, the square's bound,
+    so w is the bit length of that bound plus 2, about 2 bitlen(p) +
+    bitlen(n) + 6, and the number of passes is how many the bound takes to
+    fall below 3p: two unless n is large against p.
+    """
+    b = p.bit_length()
+    bound = n * (3 * p - 1) ** 2
+    width = bound.bit_length() + 2
+    passes = 0
+    while bound >= 3 * p:
+        bound = 2 * p + (p * bound >> 2 * b)
+        passes += 1
+    barrett = 4**b // p
+    slot_bits = (1 << (width - b - 1)) - 1
+    mask = sum(slot_bits << (width * k) for k in range(2 * n))
+
+    def reduced(x: int) -> int:
+        for _ in range(passes):
+            x -= (((x >> (b - 1) & mask) * barrett >> (b + 1)) & mask) * p
+        return x
+
+    return width, reduced
+
+
 def _prefix_powers(shift: int, e: int, f: list[int], p: int) -> Iterator[Callable[[], list[int]]]:
     """Yield, for k = t-1, ..., 0, a function returning (x + shift)^(e >> k) mod a monic f.
 
@@ -165,38 +199,17 @@ def _prefix_powers(shift: int, e: int, f: list[int], p: int) -> Iterator[Callabl
     - x + shift multiplies as a shift by one slot plus a scalar product,
       and the top slot c folds back as c g.
 
-    After each product every slot is reduced mod p at once by slot-wise
-    Barrett passes X -= ((((X >> (b-1)) & M) m >> (b+1)) & M) p, where b is
-    the bit length of p, m = 4^b div p and M keeps the low w - b - 1 bits of
-    every slot.  A pass keeps a slot below 2^(w-2) inside its w bits and
-    takes it from X to below 2p + p X / 4^b, so to [0, 3p) once X < 4^b.
-    No product makes a slot above n (3p - 1)^2, the square's bound, so w
-    is the bit length of that bound plus 2, about 2 bitlen(p) + bitlen(n)
-    + 6, and the number of passes is how many the bound takes to fall
-    below 3p: two unless n is large against p.  A prefix is unpacked into
-    residues in [0, p) only when its function is called.
+    After each product every slot is reduced mod p at once by the
+    reduction of ``_slot_reducer``, which also fixes w.  A prefix is
+    unpacked into residues in [0, p) only when its function is called.
     """
     n = len(f) - 1
-    b = p.bit_length()
-    bound = n * (3 * p - 1) ** 2
-    width = bound.bit_length() + 2
-    passes = 0
-    while bound >= 3 * p:
-        bound = 2 * p + (p * bound >> 2 * b)
-        passes += 1
-    barrett = 4**b // p
-    slot_bits = (1 << (width - b - 1)) - 1
-    mask = sum(slot_bits << (width * k) for k in range(2 * n))
+    width, reduced = _slot_reducer(p, n)
     slot = (1 << width) - 1
     low = (1 << (width * n)) - 1
 
     def packed(coeffs: list[int]) -> int:
         return sum(c << (width * k) for k, c in enumerate(coeffs))
-
-    def reduced(x: int) -> int:
-        for _ in range(passes):
-            x -= (((x >> (b - 1) & mask) * barrett >> (b + 1)) & mask) * p
-        return x
 
     def residues(x: int) -> Callable[[], list[int]]:
         return lambda: _trim([(x >> (width * k) & slot) % p for k in range(n)])

@@ -9,9 +9,13 @@ projectors, and the trace scalars a*_r.
 The characteristic polynomial is built once as an integer form: a and the
 products w_i = b_{i-1} c_i are cleared over one denominator L, and the monic
 recurrence runs on plain integers, so that det(lambda I - A) = q(L lambda)/L^(d+1)
-with q monic.  Over GF(p), L = 1 and q is the residue list itself.  A hint is
+with q monic.  Over GF(p), L = 1 and q is the residue list itself.
+
+The eigenvalue stage is a function of its own, ``eigenvalues``: a hint is
 checked on the ``Poly`` view of q (``char_poly``); without one, the roots of
-q are searched and divided by L.
+q are searched and divided by L.  Callers that need only the eigenvalues
+(``lpkit verify-aw2`` and ``lpkit rebase``) stop there; ``compute_spectrum``
+calls it and goes on to the factors below.
 
 Each primitive idempotent has rank one: E_i = v_i (K v_i)^T / n_i, where v_i
 is the cosine vector of theta_i (a right eigenvector), K is the diagonal
@@ -37,6 +41,7 @@ __all__ = [
     "char_form",
     "char_poly",
     "cosine_recurrence",
+    "eigenvalues",
     "compute_spectrum",
     "dual_a",
 ]
@@ -198,15 +203,16 @@ def cosine_recurrence(sys: TridiagonalSystem, theta: Scalar) -> tuple[tuple[Scal
     return tuple(u), residual
 
 
-def compute_spectrum(sys: TridiagonalSystem,
-                     theta_hint: Optional[Sequence[Scalar]] = None) -> Spectrum:
-    """Eigenvalues of A and the rank-one factors of its primitive idempotents.
+def eigenvalues(sys: TridiagonalSystem,
+                theta_hint: Optional[Sequence[Scalar]] = None) -> tuple[Scalar, ...]:
+    """The eigenvalues of A: the hint verified and in hint order, or else found and sorted.
 
     With a hint, each hinted value is verified to be a root of the
-    characteristic polynomial and the hint order is kept.  Without a hint,
-    roots are found in the ground field and sorted canonically.  Raises
-    NotMultiplicityFree when A has fewer than d+1 distinct in-field
-    eigenvalues.
+    characteristic polynomial and the hint order is kept; a hint of the
+    wrong length, with duplicates or with a non-eigenvalue raises
+    HintInvalid, checked in that order.  Without a hint, roots are found in
+    the ground field and sorted canonically.  Raises NotMultiplicityFree
+    when A has fewer than d+1 distinct in-field eigenvalues.
     """
     field = sys.field
     n = sys.d + 1
@@ -220,17 +226,28 @@ def compute_spectrum(sys: TridiagonalSystem,
         for t in theta:
             if not charpoly(t).is_zero():
                 raise HintInvalid(f"{t} is not an eigenvalue")
-    else:
-        form, scale = char_form(sys)
-        roots = poly_roots_in_field(Poly(field, [field.scalar(c) for c in form]))
-        if len(roots) != n:
-            raise NotMultiplicityFree(
-                f"found {len(roots)} distinct in-field eigenvalues, need {n}")
-        # a root of q is L theta; L theta and theta do not sort alike once denominators differ.
-        # A value's numerator and denominator: a Fraction's over Q, (residue, 1) for an int over GF(p)
-        theta = tuple(sorted((field.quotient(r.value.numerator, r.value.denominator * scale)
-                              for r, _ in roots), key=Scalar.sort_key))
+        return theta
+    form, scale = char_form(sys)
+    roots = poly_roots_in_field(Poly(field, [field.scalar(c) for c in form]))
+    if len(roots) != n:
+        raise NotMultiplicityFree(
+            f"found {len(roots)} distinct in-field eigenvalues, need {n}")
+    # a root of q is L theta; L theta and theta do not sort alike once denominators differ.
+    # A value's numerator and denominator: a Fraction's over Q, (residue, 1) for an int over GF(p)
+    return tuple(sorted((field.quotient(r.value.numerator, r.value.denominator * scale)
+                         for r, _ in roots), key=Scalar.sort_key))
 
+
+def compute_spectrum(sys: TridiagonalSystem,
+                     theta_hint: Optional[Sequence[Scalar]] = None) -> Spectrum:
+    """Eigenvalues of A and the rank-one factors of its primitive idempotents.
+
+    The eigenvalues, their order and the errors are those of
+    ``eigenvalues``; then, per eigenvalue, the cosine vector and its norm,
+    and the dagger diagonal once.
+    """
+    field = sys.field
+    theta = eigenvalues(sys, theta_hint)
     k = _dagger_diagonal(sys)
     k_ints, k_den = field.cleared([x.value for x in k])
     vectors = []

@@ -12,6 +12,7 @@ from lpkit.cli import main
 from lpkit.instances import Instance, gen_krawtchouk, serialize_instance
 from test_roots import _NO_SHRINK, _wall_bound
 
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 SOURCES = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
            for path in (pathlib.Path(__file__).resolve().parents[1] / "src" / "lpkit").glob("*.py")}
 
@@ -125,6 +126,16 @@ def test_rebase_denied(k2_file):
     assert main(["rebase", k2_file, "--theta", "0"]) == 1
 
 
+def test_rebase_search_follows_the_hint_order(tmp_path, capsys):
+    # k3.lp hints 3 1 -1 -3; without the hint the eigenvalues come in canonical order, -3 first
+    path = tmp_path / "k3.lp"
+    path.write_text((DATA / "k3.lp").read_text(encoding="utf-8"), encoding="utf-8")
+    for theta, row_sum in (("3 1 -1 -3", "3"), ("-1 3 -3 1", "-1"), (None, "-3")):
+        _rewrite_hint(path, theta)
+        assert main(["rebase", str(path), "--search", "-o", str(tmp_path / "out.lp")]) == 0
+        assert capsys.readouterr().err == f"rebased to row sum {row_sum}\n"
+
+
 def _rewrite_hint(path, theta):
     """Replace the theta line of an instance file (drop it when theta is None)."""
     lines = [line for line in path.read_text().splitlines() if not line.startswith("theta ")]
@@ -145,6 +156,35 @@ def test_invalid_hint_exits_2(tmp_path, capsys, field, theta, error):
     for command in ("check", "delta", "verify-aw2"):
         assert main([command, str(path)]) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def _no_factors(sys_):
+    raise RuntimeError("the idempotent factors were built")
+
+
+@pytest.mark.parametrize("text, error", [
+    ("field rationals\nd 3\na 0 0 0 0\nb 3 2 1\nc 1 2 3\ntheta_star 3 1 -1 -3\ntheta 3 1 -1\n",
+     "ParseError: field 'theta' has 3 entries, expected 4"),
+    ("field rationals\nd 3\na 0 0 0 0\nb 3 2 1\nc 1 2 3\ntheta_star 3 1 -1 -3\ntheta 3 1 1 -3\n",
+     "HintInvalid: hint contains duplicates"),
+    ("field prime 101\nd 3\na 0 0 0 0\nb 3 2 1\nc 1 2 3\ntheta_star 3 1 -1 -3\ntheta 3 1 -1 7\n",
+     "HintInvalid: 7 is not an eigenvalue"),
+    # x^2 - 2 has no root mod 11
+    ("field prime 11\nd 1\na 0 0\nb 1\nc 2\ntheta_star 0 1\n",
+     "NotMultiplicityFree: found 0 distinct in-field eigenvalues, need 2"),
+], ids=["length", "duplicate", "non-eigenvalue", "no-split"])
+def test_eigenvalue_stage_errors_match_check(tmp_path, monkeypatch, capsys, text, error):
+    # verify-aw2 and rebase stop at the eigenvalue stage and fail there as check does
+    import lpkit.system
+    path = tmp_path / "bad.lp"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    monkeypatch.setattr(lpkit.system, "_dagger_diagonal", _no_factors)
+    for argv in (["verify-aw2"], ["verify-aw2", "--machine"], ["rebase", "--search"],
+                 ["rebase", "--theta", "1"]):
+        assert main(argv[:1] + [str(path)] + argv[1:]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def test_a_non_root_from_the_finder_exits_2(tmp_path, monkeypatch, capsys):

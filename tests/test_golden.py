@@ -26,6 +26,20 @@ def test_cli_output_matches_transcript(call, capsys, monkeypatch):
     assert (code, out, err) == (call["exit"], call["stdout"], call["stderr"])
 
 
+def test_verify_aw2_and_rebase_replay_without_the_idempotent_factors(capsys, monkeypatch):
+    # only compute_spectrum's factor stage builds the dagger diagonal; these two stop before it
+    import lpkit.system
+    from test_cli import _no_factors
+
+    monkeypatch.setattr(lpkit.system, "_dagger_diagonal", _no_factors)
+    monkeypatch.chdir(DATA)
+    calls = [c for c in TRANSCRIPT if c["argv"][0] in ("verify-aw2", "rebase")]
+    assert [c["argv"][0] for c in calls].count("verify-aw2") == 5 and len(calls) == 9
+    for call in calls:
+        code = main(call["argv"])
+        assert (code, *capsys.readouterr()) == (call["exit"], call["stdout"], call["stderr"])
+
+
 def test_record_golden_appends_and_refuses_to_rewrite(tmp_path, monkeypatch, capsys):
     import record_golden
 

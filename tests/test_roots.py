@@ -16,8 +16,8 @@ from lpkit.cli import main
 from lpkit.errors import InternalInconsistency
 from lpkit.exactmath import GF, RATIONALS, Poly, poly_roots_in_field
 from lpkit.instances import affine_transform, gen_krawtchouk, gen_random
-from lpkit.modular import (_quadratic_roots, _root_bound_bits, _sqrt_mod, is_prime, linear_powmod,
-                           rational_roots)
+from lpkit.modular import (_quadratic_roots, _root_bound_bits, _slot_reducer, _sqrt_mod, is_prime,
+                           linear_powmod, rational_roots)
 from lpkit.system import char_form, compute_spectrum
 from root_oracles import divisor_roots, fraction_rational_roots, repeated_powmod, scan_roots
 
@@ -276,6 +276,22 @@ def test_linear_powmod_matches_repeated_multiplication(case):
     # f is drawn with any nonzero leading coefficient, so non-monic moduli are covered
     shift, e, f, p = case
     assert linear_powmod(shift, e, f, p) == repeated_powmod(shift, e, f, p)
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["at", "below"])
+@pytest.mark.parametrize("n", [1, 2, 16, 34])
+@pytest.mark.parametrize("p", [17, 19, 257, 65537, 2**31 + 11])
+def test_slot_reduction_at_its_stated_bound(p, n, below):
+    # p just above a power of two, where (X >> (b - 1)) * (4^b // p) nears 4X.  The 2n slots
+    # hold the largest value a product makes, n (3p - 1)^2, or the 2n values just below it;
+    # at p = 19, n = 34 one pass fewer than the bound asks leaves such a slot at 3p or above
+    width, reduced = _slot_reducer(p, n)
+    top = n * (3 * p - 1) ** 2
+    given = [top - k if below else top for k in range(2 * n)]
+    out = reduced(sum(x << (width * k) for k, x in enumerate(given)))
+    slots = [out >> (width * k) & ((1 << width) - 1) for k in range(2 * n)]
+    assert 0 <= out < 1 << (width * 2 * n)
+    assert all(x < 3 * p and (x - y) % p == 0 for x, y in zip(slots, given))
 
 
 def test_root_finding_powers_once_at_full_degree(monkeypatch):

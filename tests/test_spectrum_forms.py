@@ -5,8 +5,10 @@ Scalars, checks a hint by evaluating that ``Poly`` and searches its roots.
 ``system.compute_spectrum`` must agree with it exactly: the same eigenvalues
 in the same order, the same cosine vectors, norms and dagger diagonal with
 the same value types and printed forms, and the same exception type and
-message, over Q (fractional diagonals and products b_{i-1} c_i included)
-and over GF(2), GF(3), GF(101) and GF(2^61 - 1).
+message; ``system.eigenvalues``, its first stage, must give the same
+eigenvalues or the same exception.  All of it over Q (fractional diagonals
+and products b_{i-1} c_i included) and over GF(2), GF(3), GF(101) and
+GF(2^61 - 1).
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from lpkit.cosine import rescale_superdiagonal
 from lpkit.errors import DivisionByZero
 from lpkit.exactmath import GF, RATIONALS, Scalar, char_poly_oracle
 from lpkit.instances import affine_transform, gen_krawtchouk, gen_random, parse_instance
-from lpkit.system import (TridiagonalSystem, char_poly, compute_spectrum, monic_polys,
+from lpkit.system import (TridiagonalSystem, char_poly, compute_spectrum, eigenvalues, monic_polys,
                           realize_matrices)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -147,7 +149,13 @@ def _hinted(draw):
 @example((_THIRD, [3, 1, -1, Fraction(7, 3), Fraction(5, 3), Fraction(1, 3), Fraction(-2, 3)]))
 def test_spectrum_matches_the_scalar_reference(case):
     sys_, hint = case
-    _assert_same(_outcome(compute_spectrum, sys_, hint), _outcome(scalar_spectrum, sys_, hint))
+    expected = _outcome(scalar_spectrum, sys_, hint)
+    _assert_same(_outcome(compute_spectrum, sys_, hint), expected)
+    # the eigenvalue stage alone stops before the factors, with the same values or error
+    got = _outcome(eigenvalues, sys_, hint)
+    assert got == (expected if expected[0] == "raise" else ("value", expected[1].theta))
+    if got[0] == "value":
+        assert [(type(x.value), str(x)) for x in got[1]] == _printed(expected[1])[:len(got[1])]
 
 
 @settings(max_examples=60, deadline=None)
