@@ -20,7 +20,7 @@ from .leaf import (LeafVerdict, appendix_a, appendix_b, leaf_by_ratio,
                    leaf_by_recurrence, leaf_by_subspace)
 from .qpoly import (QPolyVerdict, RecurrenceWitness, is_q_polynomial,
                     solve_witness, verify_aw2)
-from .system import (Spectrum, TridiagonalSystem, char_poly, compute_spectrum, dual_a,
-                     eigenvalues, make_system, realize_matrices, validate_system)
+from .system import (Spectrum, TridiagonalSystem, compute_spectrum, dual_a, eigenvalues,
+                     make_system, realize_matrices, validate_system)
 
 __version__ = "0.1.0"

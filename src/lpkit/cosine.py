@@ -1,9 +1,9 @@
 """Three-term-recurrence polynomial sequences, cosine sequences, and rescaling.
 
 The u_i sequence satisfies lambda*u_i = c_i u_{i-1} + a_i u_i + b_i u_{i+1}
-with u_0 = 1; it is the monic p_i sequence (``system.monic_polys``) divided
-by b_0...b_{i-1}, the same recurrence written in the normalized basis (all
-superdiagonal entries 1).  The top polynomial u_{d+1} = p_{d+1} is the
+with u_0 = 1; times b_0...b_{i-1} it is the monic sequence of the same
+recurrence in the normalized basis (all superdiagonal entries 1).  The top
+polynomial u_{d+1} is scaled back to that monic form: it is the
 characteristic polynomial of A, and the evaluations u_i(theta) at an
 eigenvalue theta are the coordinates of the corresponding eigenvector.
 """
@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .errors import CosineVanishes, InternalInconsistency, NotAnEigenvalue, ZeroTarget
 from .exactmath import Poly, Scalar
-from .system import TridiagonalSystem, cosine_recurrence, monic_polys
+from .system import TridiagonalSystem, cosine_recurrence
 
 __all__ = [
     "u_polys",
@@ -25,12 +25,13 @@ __all__ = [
 
 
 def u_polys(sys: TridiagonalSystem) -> tuple[Poly, ...]:
-    """u_0..u_{d+1}: u_i = p_i/(b_0...b_{i-1}) for i <= d, and u_{d+1} = p_{d+1}; deg u_i = i."""
-    p = monic_polys(sys)
-    scale = [sys.field.one()]
-    for b in sys.b:
-        scale.append(scale[-1] / b)
-    return tuple(q * s for q, s in zip(p, scale)) + (p[-1],)
+    """u_0..u_{d+1}: b_i u_{i+1} = (x - a_i) u_i - c_i u_{i-1}, u_0 = 1; u_{d+1} = det(x I - A), monic."""
+    field = sys.field
+    u, prev = [Poly.constant(field, 1)], Poly(field, [])
+    for i in range(sys.d + 1):
+        prev, step = u[i], Poly.x(field) * u[i] - u[i] * sys.a[i] - prev * sys.sub(i)
+        u.append(step * (sys.b[i].inverse() if i < sys.d else step.coeffs[-1].inverse()))
+    return tuple(u)
 
 
 def cosine_sequence(sys: TridiagonalSystem, theta: Scalar) -> tuple[Scalar, ...]:

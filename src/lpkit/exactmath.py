@@ -518,21 +518,23 @@ def char_poly_oracle(m: Matrix) -> Poly:
     return Poly(field, list(reversed(coeffs_hi_first)))
 
 
-def poly_roots_in_field(p: Poly) -> list[tuple[Scalar, int]]:
-    """All roots of p lying in the ground field, with multiplicities.
+def poly_roots_in_field(coeffs: Sequence[Union[int, Fraction]],
+                        field: FieldSpec) -> list[tuple[Scalar, int]]:
+    """All roots in the ground field, with multiplicities, of the polynomial with these coefficients.
 
-    Over GF(q): evaluation at every residue when q is at most deg p times
-    the bit length of q, else gcd with x^q - x and equal-degree splitting.
-    Over the rationals: roots modulo a prime, Hensel-lifted past a root
-    bound and rebuilt by rational reconstruction.  Each root's multiplicity
-    comes from exact deflation over GF(q), from exact integer division by
-    m x - n for a rational root n/m, and roots are returned in canonical
-    order.
+    coeffs, low degree first, are ints or Fractions over Q and ints over
+    GF(q).  Over GF(q): evaluation at every residue when q is at most the
+    degree times the bit length of q, else gcd with x^q - x and equal-degree
+    splitting.  Over Q: roots modulo a prime, Hensel-lifted past a root bound
+    and rebuilt by rational reconstruction.  Each root's multiplicity comes
+    from exact deflation over GF(q), from exact integer division by m x - n
+    for a rational root n/m, and roots are returned in canonical order.
     """
-    field = p.field
-    if p.is_zero():
+    coeffs = [field.reduce(c) for c in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    if not coeffs:
         raise ValueError("the zero polynomial has no well-defined root set")
-    coeffs = [c.value for c in p.coeffs]
     if field.is_prime_field:
         found = prime_field_roots(coeffs, field.modulus)
     else:

@@ -11,17 +11,18 @@ products w_i = b_{i-1} c_i are cleared over one denominator L, and the monic
 recurrence runs on plain integers, so that det(lambda I - A) = q(L lambda)/L^(d+1)
 with q monic.  Over GF(p), L = 1 and q is the residue list itself.
 
-The eigenvalue stage is a function of its own, ``eigenvalues``: a hint is
-checked on the ``Poly`` view of q (``char_poly``); without one, the roots of
-q are searched and divided by L.  Callers that need only the eigenvalues
-(``lpkit verify-aw2`` and ``lpkit rebase``) stop there; ``compute_spectrum``
-calls it and goes on to the factors below.
+The eigenvalue stage is a function of its own, ``eigenvalues``, on (q, L)
+alone: a hinted theta is checked as an integer root L theta of q by Horner's
+rule; without a hint, the roots of q are searched and divided by L.  Callers
+that need only the eigenvalues (``lpkit verify-aw2`` and ``lpkit rebase``)
+stop there; ``compute_spectrum`` calls it and goes on to the factors below.
 
 Each primitive idempotent has rank one: E_i = v_i (K v_i)^T / n_i, where v_i
 is the cosine vector of theta_i (a right eigenvector), K is the diagonal
 dagger matrix (A^T K = K A, so K v_i is a left eigenvector) and
-n_i = (K v_i)^T v_i.  The spectrum stores these factors once; everything
-downstream reads them instead of dense matrices.
+n_i = (K v_i)^T v_i.  The spectrum stores these factors once, with the trace
+scalars a*_r = tr(E_r Astar) formed from the same weights as the norms;
+everything downstream reads them instead of dense matrices.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import HintInvalid, IndexOutOfRange, InternalInconsistency, NotMultiplicityFree
-from .exactmath import FieldSpec, Matrix, Poly, Scalar, poly_roots_in_field
+from .exactmath import FieldSpec, Matrix, Scalar, poly_roots_in_field
 
 __all__ = [
     "TridiagonalSystem",
@@ -37,9 +38,7 @@ __all__ = [
     "make_system",
     "validate_system",
     "realize_matrices",
-    "monic_polys",
     "char_form",
-    "char_poly",
     "cosine_recurrence",
     "eigenvalues",
     "compute_spectrum",
@@ -78,13 +77,16 @@ class Spectrum:
 
     v[i] is the cosine vector (u_0(theta_i), ..., u_d(theta_i)), k the
     diagonal of the dagger matrix K, and norm[i] = sum_k k[k] v[i][k]^2,
-    which is nonzero.  E_i = v[i] (K v[i])^T / norm[i].
+    which is nonzero.  E_i = v[i] (K v[i])^T / norm[i].  Only astar depends on
+    the dual eigenvalues theta_star: astar[i] = a*_i = tr(E_i diag(theta_star)).
     """
 
     theta: tuple[Scalar, ...]
     v: tuple[tuple[Scalar, ...], ...]
     norm: tuple[Scalar, ...]
     k: tuple[Scalar, ...]
+    theta_star: tuple[Scalar, ...]
+    astar: tuple[Scalar, ...]
 
     @property
     def d(self) -> int:
@@ -141,23 +143,6 @@ def realize_matrices(sys: TridiagonalSystem) -> tuple[Matrix, Matrix]:
     return a_mat, astar
 
 
-def monic_polys(sys: TridiagonalSystem) -> tuple[Poly, ...]:
-    """The monic sequence p_0..p_{d+1}: lambda*p_i = b_{i-1}c_i p_{i-1} + a_i p_i + p_{i+1}.
-
-    p_0 = 1, and the top polynomial p_{d+1} is det(lambda I - A).  O(d^2).
-    """
-    field = sys.field
-    lam = Poly.x(field)
-    seq = [Poly.constant(field, 1)]
-    prev = Poly(field, [])
-    for i in range(sys.d + 1):
-        weight = sys.sup(i - 1) * sys.sub(i) if i >= 1 else field.zero()
-        nxt = lam * seq[i] - seq[i] * sys.a[i] - prev * weight
-        prev = seq[i]
-        seq.append(nxt)
-    return tuple(seq)
-
-
 def char_form(sys: TridiagonalSystem) -> tuple[list[int], int]:
     """The integer form (q, L) of the characteristic polynomial: det(lambda I - A) = q(L lambda)/L^(d+1).
 
@@ -176,14 +161,6 @@ def char_form(sys: TridiagonalSystem) -> tuple[list[int], int]:
         prev, cur = cur, [field.reduce(x - a * y - w * z)
                           for x, y, z in zip([0] + cur, cur + [0], prev + [0, 0])]
     return cur, scale
-
-
-def char_poly(sys: TridiagonalSystem) -> Poly:
-    """The monic characteristic polynomial of A: the coefficient of x^k is q_k / L^(d+1-k)."""
-    field = sys.field
-    form, scale = char_form(sys)
-    top = len(form) - 1
-    return Poly(field, [field.quotient(c, scale ** (top - k)) for k, c in enumerate(form)])
 
 
 def cosine_recurrence(sys: TridiagonalSystem, theta: Scalar) -> tuple[tuple[Scalar, ...], Scalar]:
@@ -207,28 +184,33 @@ def eigenvalues(sys: TridiagonalSystem,
                 theta_hint: Optional[Sequence[Scalar]] = None) -> tuple[Scalar, ...]:
     """The eigenvalues of A: the hint verified and in hint order, or else found and sorted.
 
-    With a hint, each hinted value is verified to be a root of the
-    characteristic polynomial and the hint order is kept; a hint of the
-    wrong length, with duplicates or with a non-eigenvalue raises
-    HintInvalid, checked in that order.  Without a hint, roots are found in
-    the ground field and sorted canonically.  Raises NotMultiplicityFree
-    when A has fewer than d+1 distinct in-field eigenvalues.
+    With a hint, each hinted theta must make L theta an integer root of q (q
+    is monic over the integers, so it has no other rational root), and the
+    hint order is kept; a hint of the wrong length, with duplicates or with
+    a non-eigenvalue raises HintInvalid, checked in that order.  Without a
+    hint, roots are found in the ground field and sorted canonically.
+    Raises NotMultiplicityFree when A has fewer than d+1 distinct in-field
+    eigenvalues.
     """
     field = sys.field
     n = sys.d + 1
+    form, scale = char_form(sys)
     if theta_hint is not None:
-        charpoly = char_poly(sys)
         theta = tuple(field.scalar(t) for t in theta_hint)
         if len(theta) != n:
             raise HintInvalid(f"hint has {len(theta)} values, expected {n}")
         if len(set(theta)) != n:
             raise HintInvalid("hint contains duplicates")
         for t in theta:
-            if not charpoly(t).is_zero():
+            # over GF(p), L = 1 and an int value has denominator 1: r is the residue
+            r, rest = divmod(scale * t.value.numerator, t.value.denominator)
+            value = 0
+            for c in reversed(form):
+                value = field.reduce(value * r + c)
+            if rest or value:
                 raise HintInvalid(f"{t} is not an eigenvalue")
         return theta
-    form, scale = char_form(sys)
-    roots = poly_roots_in_field(Poly(field, [field.scalar(c) for c in form]))
+    roots = poly_roots_in_field(form, field)
     if len(roots) != n:
         raise NotMultiplicityFree(
             f"found {len(roots)} distinct in-field eigenvalues, need {n}")
@@ -243,43 +225,55 @@ def compute_spectrum(sys: TridiagonalSystem,
     """Eigenvalues of A and the rank-one factors of its primitive idempotents.
 
     The eigenvalues, their order and the errors are those of
-    ``eigenvalues``; then, per eigenvalue, the cosine vector and its norm,
-    and the dagger diagonal once.
+    ``eigenvalues``; then, per eigenvalue, the cosine vector, its norm and
+    a*_r, and the dagger diagonal once.
     """
     field = sys.field
     theta = eigenvalues(sys, theta_hint)
     k = _dagger_diagonal(sys)
-    k_ints, k_den = field.cleared([x.value for x in k])
-    vectors = []
-    norms = []
+    k_form = field.cleared([x.value for x in k])
+    ts_form = field.cleared([x.value for x in sys.theta_star])
+    vectors, norms, astar = [], [], []
     for t in theta:
         v, residual = cosine_recurrence(sys, t)
         if not residual.is_zero():
             raise InternalInconsistency(f"cosine recurrence residual {residual} at eigenvalue {t}")
-        # integer form: n = sum_k K_k v[k]^2 with K and v each cleared once
-        v_ints, v_den = field.cleared([x.value for x in v])
-        norm = field.quotient(sum(kk * x * x for kk, x in zip(k_ints, v_ints)), k_den * v_den * v_den)
-        if norm.is_zero():
-            raise InternalInconsistency(f"left and right eigenvectors of {t} are orthogonal")
+        norm, a = _norm_and_dual_a(field, k_form, ts_form, t, v)
         vectors.append(v)
         norms.append(norm)
-    return Spectrum(theta, tuple(vectors), tuple(norms), k)
+        astar.append(a)
+    return Spectrum(theta, tuple(vectors), tuple(norms), k, sys.theta_star, tuple(astar))
+
+
+def _norm_and_dual_a(field: FieldSpec, k_form: tuple, ts_form: tuple, theta: Scalar,
+                     v: Sequence[Scalar]) -> tuple[Scalar, Scalar]:
+    """n = sum_k K_k v[k]^2 and a*_r = sum_k K_k theta*_k v[k]^2 / n for the vector v of theta.
+
+    K and theta* come as ``FieldSpec.cleared`` returns them, v is cleared
+    here, and both forms share the weights K_k v[k]^2; in a*_r the
+    denominators of K and v cancel and that of theta* stays.
+    """
+    (k, k_den), (ts, ts_den) = k_form, ts_form
+    v_ints, v_den = field.cleared([x.value for x in v])
+    weights = [kk * x * x for kk, x in zip(k, v_ints)]
+    total = sum(weights)
+    norm = field.quotient(total, k_den * v_den * v_den)
+    if norm.is_zero():
+        raise InternalInconsistency(f"left and right eigenvectors of {theta} are orthogonal")
+    return norm, field.quotient(sum(w * t for w, t in zip(weights, ts)), total * ts_den)
 
 
 def dual_a(sys: TridiagonalSystem, spec: Spectrum, r: int) -> Scalar:
-    """The trace scalar a*_r = tr(E_r Astar) = sum_k K_k theta*_k v_r[k]^2 / n_r.
+    """The trace scalar a*_r = tr(E_r Astar) = sum_k K_k theta*_k v_r[k]^2 / n_r, read from the spectrum.
 
     Because E_r has rank one, E_r Astar E_r = a*_r E_r holds with this value.
+    A spectrum computed for other dual eigenvalues raises InternalInconsistency.
     """
     if not 0 <= r <= sys.d:
         raise IndexOutOfRange(f"index {r} out of 0..{sys.d}")
-    # a ratio of two integer forms: the denominators of K and v_r cancel, that of theta* stays
-    field = sys.field
-    k, _ = field.cleared([x.value for x in spec.k])
-    ts, ts_den = field.cleared([x.value for x in sys.theta_star])
-    v, _ = field.cleared([x.value for x in spec.v[r]])
-    weights = [kk * x * x for kk, x in zip(k, v)]
-    return field.quotient(sum(w * t for w, t in zip(weights, ts)), sum(weights) * ts_den)
+    if spec.theta_star != sys.theta_star:
+        raise InternalInconsistency("the spectrum was computed for other dual eigenvalues")
+    return spec.astar[r]
 
 
 def _dagger_diagonal(sys: TridiagonalSystem) -> tuple[Scalar, ...]:

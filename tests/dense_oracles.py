@@ -15,8 +15,11 @@ the norms and a*_r as running sums of field values, one reduction or
 division at a time, are the references for the integer-form kernels; so
 are the witness of conditions (ii) and (iii) and delta*, built from Scalar
 rows and products and solved by the Scalar elimination, and the spectrum
-with its characteristic polynomial built as a ``Poly`` of Scalars, the hint
-checked by evaluating that ``Poly`` and the roots searched on it.
+with its characteristic polynomial built as a ``Poly`` of Scalars (the top
+of ``monic_polys``), the hint checked by evaluating that ``Poly``, the roots
+searched on it and a*_r filled in by ``scalar_dual_a``.  ``char_poly`` is
+the ``Poly`` view of ``system.char_form``'s integer form, for comparing it
+with those two and with the Berkowitz oracle.
 """
 from __future__ import annotations
 
@@ -25,10 +28,11 @@ from operator import mul
 
 from lpkit.errors import (HintInvalid, InternalInconsistency, NotConstant, NotMultiplicityFree,
                           ShapeMismatch)
-from lpkit.exactmath import Matrix, Poly, Scalar, poly_roots_in_field
+from lpkit.exactmath import Matrix, Poly, Scalar
 from lpkit.leaf import leaf_by_ratio
 from lpkit.qpoly import RecurrenceWitness, solve_condition_ii, solve_witness
-from lpkit.system import Spectrum, _dagger_diagonal, cosine_recurrence, realize_matrices
+from lpkit.system import Spectrum, _dagger_diagonal, char_form, cosine_recurrence, realize_matrices
+from root_oracles import poly_roots
 
 
 def matrix(field, rows):
@@ -128,15 +132,29 @@ def scalar_norm(k, v):
     return norm
 
 
-def scalar_char_poly(sys_):
-    """det(lambda I - A) by the monic recurrence p_{i+1} = (x - a_i) p_i - b_{i-1} c_i p_{i-1} on Polys."""
+def monic_polys(sys_):
+    """The monic sequence p_0..p_{d+1} of p_{i+1} = (x - a_i) p_i - b_{i-1} c_i p_{i-1}, p_0 = 1, on Polys."""
     field = sys_.field
     lam = Poly.x(field)
-    prev, cur = Poly(field, []), Poly.constant(field, 1)
+    seq, prev = [Poly.constant(field, 1)], Poly(field, [])
     for i in range(sys_.d + 1):
         weight = sys_.sup(i - 1) * sys_.sub(i) if i >= 1 else field.zero()
-        prev, cur = cur, lam * cur - cur * sys_.a[i] - prev * weight
-    return cur
+        prev, cur = seq[i], lam * seq[i] - seq[i] * sys_.a[i] - prev * weight
+        seq.append(cur)
+    return tuple(seq)
+
+
+def scalar_char_poly(sys_):
+    """det(lambda I - A): the top polynomial p_{d+1} of the monic sequence."""
+    return monic_polys(sys_)[-1]
+
+
+def char_poly(sys_):
+    """The Poly view of char_form's (q, L): the coefficient of x^k is q_k / L^(d+1-k)."""
+    field = sys_.field
+    form, scale = char_form(sys_)
+    top = len(form) - 1
+    return Poly(field, [field.quotient(c, scale ** (top - k)) for k, c in enumerate(form)])
 
 
 def scalar_spectrum(sys_, theta_hint=None):
@@ -154,7 +172,7 @@ def scalar_spectrum(sys_, theta_hint=None):
             if not charpoly(t).is_zero():
                 raise HintInvalid(f"{t} is not an eigenvalue")
     else:
-        roots = poly_roots_in_field(charpoly)
+        roots = poly_roots(charpoly)
         if len(roots) != n:
             raise NotMultiplicityFree(f"found {len(roots)} distinct in-field eigenvalues, need {n}")
         theta = tuple(r for r, _ in roots)
@@ -169,7 +187,8 @@ def scalar_spectrum(sys_, theta_hint=None):
             raise InternalInconsistency(f"left and right eigenvectors of {t} are orthogonal")
         vectors.append(v)
         norms.append(norm)
-    return Spectrum(theta, tuple(vectors), tuple(norms), k)
+    spec = Spectrum(theta, tuple(vectors), tuple(norms), k, sys_.theta_star, ())
+    return replace(spec, astar=tuple(scalar_dual_a(sys_, spec, r) for r in range(n)))
 
 
 def scalar_dual_a(sys_, spec, r):

@@ -8,15 +8,21 @@ only and compare the production finder against them exactly.  The powering
 oracle multiplies ``Poly`` values and divides by f with the schoolbook
 ``_divmod`` below, so it shares no code with ``modular.linear_powmod``.
 ``fraction_rational_roots`` confirms the production candidates, and counts
-their multiplicities, by synthetic division on Fractions.
+their multiplicities, by synthetic division on Fractions.  ``poly_roots`` is
+the one way the tests hand a ``Poly`` to the production finder.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
 
-from lpkit.exactmath import GF, Poly, Scalar
+from lpkit.exactmath import GF, Poly, Scalar, poly_roots_in_field
 from lpkit.modular import _rational_candidates
+
+
+def poly_roots(poly: Poly) -> list[tuple[Scalar, int]]:
+    """``exactmath.poly_roots_in_field`` on the coefficient values of a ``Poly``."""
+    return poly_roots_in_field([c.value for c in poly.coeffs], poly.field)
 
 
 def _int_divisors(n: int) -> list[int]:

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import scale
+from dense_oracles import char_poly, monic_polys, scale
 from lpkit.cosine import (constant_row_sum, cosine_sequence, rebase_to_row_sum, rescale_superdiagonal,
                           u_polys)
 from lpkit.errors import CosineVanishes, NotAnEigenvalue, ZeroTarget
 from lpkit.exactmath import GF, RATIONALS, Matrix, Poly
 from lpkit.instances import gen_random
-from lpkit.system import char_poly, make_system, monic_polys, realize_matrices
+from lpkit.system import make_system, realize_matrices
 
 GF101 = GF(101)
 

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from dense_oracles import identity, matrix, naive_matmul
 from lpkit.errors import DivisionByZero, FieldMismatch, ParseError, ShapeMismatch
-from lpkit.exactmath import (GF, RATIONALS, Matrix, Poly, char_poly_oracle,
-                             poly_roots_in_field, rank, solve_affine)
+from lpkit.exactmath import (GF, RATIONALS, Matrix, Poly, char_poly_oracle, poly_roots_in_field,
+                             rank, solve_affine)
 from lpkit.modular import divmod_residues
+from root_oracles import poly_roots
 
 GF7 = GF(7)
 GF101 = GF(101)
@@ -193,14 +194,24 @@ def test_char_poly_oracle_gf2():
 
 def test_poly_roots_rationals():
     cubic = P(RATIONALS, 0, -4, 0, 1)  # x^3 - 4x
-    roots = poly_roots_in_field(cubic)
+    roots = poly_roots(cubic)
     assert [(r.value, m) for r, m in roots] == [(-2, 1), (0, 1), (2, 1)]
-    assert poly_roots_in_field(P(RATIONALS, 1, 0, 1)) == []
+    assert poly_roots(P(RATIONALS, 1, 0, 1)) == []
+
+
+def test_poly_roots_in_field_takes_coefficient_values():
+    # ints and Fractions low degree first, reduced mod p; trailing zeros are trimmed, all zeros refused
+    roots = poly_roots_in_field([Fraction(-4, 9), 0, 1, 0], RATIONALS)
+    assert [(r.value, m) for r, m in roots] == [(Fraction(-2, 3), 1), (Fraction(2, 3), 1)]
+    assert poly_roots_in_field([-1, 7, 1], GF7) == poly_roots(P(GF7, -1, 0, 1))  # x^2 - 1 mod 7
+    for zero in ([], [0, 0]):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            poly_roots_in_field(zero, RATIONALS)
 
 
 def test_poly_roots_gf7():
     sq = P(GF7, -1, 0, 1)  # x^2 - 1
-    roots = poly_roots_in_field(sq)
+    roots = poly_roots(sq)
     assert sorted(r.value for r, _ in roots) == [1, 6]
 
 
@@ -254,5 +265,5 @@ def test_char_poly_roots_vanish(seed):
     m = matrix(GF101, [[rng.randrange(101) for _ in range(n)] for _ in range(n)])
     cp = char_poly_oracle(m)
     assert cp.coeffs[-1] == GF101.one() and cp.degree == n
-    for root, mult in poly_roots_in_field(cp):
+    for root, mult in poly_roots(cp):
         assert cp(root).is_zero() and mult >= 1

@@ -17,7 +17,7 @@ from dense_oracles import (raw_matmul, scalar_dual_a, scalar_norm, scalar_rank,
                            scalar_solve_affine)
 from lpkit.exactmath import GF, RATIONALS, Matrix, rank, solve_affine
 from lpkit.instances import affine_transform, gen_krawtchouk, gen_random
-from lpkit.system import Spectrum, TridiagonalSystem, compute_spectrum, dual_a
+from lpkit.system import Spectrum, TridiagonalSystem, _norm_and_dual_a, compute_spectrum, dual_a
 
 _FIELDS = [RATIONALS, GF(2), GF(101), GF(2**61 - 1)]
 _BIG = 10**30
@@ -172,7 +172,11 @@ def _vectors(draw):
     sys_ = TridiagonalSystem(n - 1, theta_star, (field.one(),) * (n - 1), (field.one(),) * (n - 1),
                              theta_star, field)
     theta = tuple(field.scalar(i) for i in range(len(vectors)))
-    return sys_, Spectrum(theta, tuple(vectors), tuple(norms), tuple(k))
+    # a*_r from compute_spectrum's own kernel, on K and theta* cleared once
+    k_form = field.cleared([x.value for x in k])
+    ts_form = field.cleared([x.value for x in theta_star])
+    astar = tuple(_norm_and_dual_a(field, k_form, ts_form, t, v)[1] for t, v in zip(theta, vectors))
+    return sys_, Spectrum(theta, tuple(vectors), tuple(norms), tuple(k), theta_star, astar)
 
 
 @settings(max_examples=60, deadline=None)

@@ -193,8 +193,9 @@ def _plant_leaf(sys_, spec, r, s):
 
 def test_theorem_route_matches_the_full_pair_scan(full_corpus, random_corpus):
     # the corpus, the affine images of criterion 5, the single-theta* mutants of Krawtchouk
-    # d = 3..8 over Q and GF(101) (mutating theta* leaves A and its spectrum alone), planted
-    # leaves, which fail (ii) or (iii), and alternating theta* = (0, 1, 0, 1), which fails (iv)
+    # d = 3..8 over Q and GF(101) (mutating theta* leaves A alone, so each mutant takes the
+    # same hint), planted leaves, which fail (ii) or (iii), and alternating
+    # theta* = (0, 1, 0, 1), which fails (iv)
     cases = [(sys_, spec) for sys_, spec in full_corpus if sys_.d >= 3]
     for sys_, _ in list(cases):
         if sys_.field == RATIONALS:
@@ -204,11 +205,13 @@ def test_theorem_route_matches_the_full_pair_scan(full_corpus, random_corpus):
     for field in (RATIONALS, GF(101)):
         for d in range(3, 9):
             sys_, theta = gen_krawtchouk(d, field)
-            spec = compute_spectrum(sys_, theta_hint=theta)
-            cases += [(mutant, spec) for mutant in _single_theta_star_mutants(sys_)]
+            cases += [(mutant, compute_spectrum(mutant, theta_hint=theta))
+                      for mutant in _single_theta_star_mutants(sys_)]
     sources = [(sys_, spec) for sys_, spec in random_corpus if sys_.d >= 3][:40]
-    cases += [(_plant_leaf(sys_, spec, k % (sys_.d + 1), (k + 2) % (sys_.d + 1)), spec)
-              for k, (sys_, spec) in enumerate(sources)]
+    planted = [_plant_leaf(sys_, spec, k % (sys_.d + 1), (k + 2) % (sys_.d + 1))
+               for k, (sys_, spec) in enumerate(sources)]
+    cases += [(sys_, compute_spectrum(sys_, theta_hint=spec.theta))
+              for sys_, (_, spec) in zip(planted, sources)]
     for p, a, b, c in ((13, [10, 6, 10, 6], [4, 2, 8], [1, 7, 7]),
                        (7, [0, 3, 0, 3], [6, 2, 4], [6, 1, 5])):
         sys_ = make_system(GF(p), a, b, c, [0, 1, 0, 1])
@@ -262,9 +265,9 @@ def test_check_both_solves_the_witness_once(monkeypatch, capsys):
 
 
 def test_a_handed_off_witness_is_read_only_for_its_own_system():
-    # planted leaves share the positive pair's spectrum object and pass (i); each is decided
-    # right after the direct route solved the positive pair's witness, which a hand-off
-    # keyed to the spectrum would give to those that fail (ii)
+    # planted leaves keep the positive pair's A and hint order and pass (i); each is decided
+    # right after the direct route solved the positive pair's witness, which the theorem route
+    # must not read for a planted system: those that fail (ii) would pass with it
     sys_, theta = gen_krawtchouk(5)
     spec = compute_spectrum(sys_, theta_hint=theta)
     seen = Counter()
@@ -273,9 +276,10 @@ def test_a_handed_off_witness_is_read_only_for_its_own_system():
             if r == s:
                 continue
             planted = _plant_leaf(sys_, spec, r, s)
+            planted_spec = compute_spectrum(planted, theta_hint=theta)
             assert is_q_polynomial(sys_, spec, route="direct").witness is not None
-            verdict = is_q_polynomial(planted, spec, route="theorem")
-            expected = pair_scan_theorem_route(planted, spec)
+            verdict = is_q_polynomial(planted, planted_spec, route="theorem")
+            expected = pair_scan_theorem_route(planted, planted_spec)
             assert (verdict.qpoly, verdict.failed_condition) == expected
             seen[verdict.failed_condition] += 1
     assert seen == {"ii": 10, "iv": 18, None: 2}

@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 import lpkit.modular
 from lpkit.cli import main
 from lpkit.errors import InternalInconsistency
-from lpkit.exactmath import GF, RATIONALS, Poly, poly_roots_in_field
+from lpkit.exactmath import GF, RATIONALS, Poly
 from lpkit.instances import affine_transform, gen_krawtchouk, gen_random
 from lpkit.modular import (_quadratic_roots, _root_bound_bits, _slot_reducer, _sqrt_mod, is_prime,
                            linear_powmod, rational_roots)
 from lpkit.system import char_form, compute_spectrum
-from root_oracles import divisor_roots, fraction_rational_roots, repeated_powmod, scan_roots
+from root_oracles import (divisor_roots, fraction_rational_roots, poly_roots, repeated_powmod,
+                          scan_roots)
 
 PSEUDOPRIME = 3317044064679887385961981  # 1287836182261 * 2575672364521
 M61 = 2**61 - 1
@@ -92,7 +93,7 @@ def _wall_bound(seconds):
 @given(_prime_field_polys())
 def test_prime_field_roots_match_the_exhaustive_scan(poly):
     with _wall_bound(5):
-        found = poly_roots_in_field(poly)
+        found = poly_roots(poly)
     assert found == scan_roots(poly)
 
 
@@ -100,7 +101,7 @@ def test_prime_field_roots_match_the_exhaustive_scan(poly):
 @given(_rational_polys())
 def test_rational_roots_match_the_divisor_search(poly):
     with _wall_bound(5):
-        found = poly_roots_in_field(poly)
+        found = poly_roots(poly)
     assert found == divisor_roots(poly)
 
 
@@ -109,7 +110,7 @@ def test_roots_cover_zero_repeated_and_fractional_cases():
     gf2 = _product(GF(2), 1, [0, 1, 1], [1, 1, 1])  # x^2 + x + 1 is irreducible over GF(2)
     gf3 = _product(GF(3), 2, [2, 2, 0], [1, 0, 1])
     with _wall_bound(5):
-        found = [poly_roots_in_field(poly) for poly in (x3, gf2, gf3)]
+        found = [poly_roots(poly) for poly in (x3, gf2, gf3)]
     assert [(r.value, m) for r, m in found[0]] == [(Fraction(-1, 2), 2), (0, 2), (7, 1)]
     assert found[0] == divisor_roots(x3)
     assert [(r.value, m) for r, m in found[1]] == [(0, 1), (1, 2)]
@@ -121,7 +122,7 @@ def test_rational_root_needs_the_full_lifting_bound():
     a, b = 1099526307891, 1099526307887
     poly = _product(RATIONALS, a, [Fraction(b, a)], [1, 0, 1])
     with _wall_bound(5):
-        found = poly_roots_in_field(poly)
+        found = poly_roots(poly)
     assert [(r.value, m) for r, m in found] == [(Fraction(b, a), 1)]
 
 
@@ -320,7 +321,7 @@ def test_root_finding_powers_once_at_full_degree(monkeypatch):
     # and non-residues mod p both among the roots make that split proper
     p = 10007
     assert {pow(r, (p - 1) // 2, p) for r in range(1, 9)} == {1, p - 1}
-    found = poly_roots_in_field(_product(GF(p), 3, range(1, 9), [1]))
+    found = poly_roots(_product(GF(p), 3, range(1, 9), [1]))
     assert [r.value for r, _ in found] == list(range(1, 9))
     assert calls == [8] and powerings.count(8) == 1
     calls.clear()
@@ -330,7 +331,7 @@ def test_root_finding_powers_once_at_full_degree(monkeypatch):
     # 7 <= 4 bitlen(7) = 12, f is evaluated at each of the 7 residues and nothing is powered
     q = 7
     assert q <= 4 * q.bit_length()
-    found = poly_roots_in_field(_product(RATIONALS, Fraction(2, 3), [-3, 2, 5, 7], [1]))
+    found = poly_roots(_product(RATIONALS, Fraction(2, 3), [-3, 2, 5, 7], [1]))
     assert [r.value for r, _ in found] == [-3, 2, 5, 7]
     assert calls == [4] and evaluations == [(4, q)] and powerings == []
     calls.clear()
@@ -340,14 +341,14 @@ def test_root_finding_powers_once_at_full_degree(monkeypatch):
     # so the first split leaves two quadratics
     p = 101
     assert [pow(r, (p - 1) // 2, p) for r in (1, 4, 2, 3)] == [1, 1, p - 1, p - 1]
-    found = poly_roots_in_field(_product(GF(p), 1, [1, 4, 2, 3], [1]))
+    found = poly_roots(_product(GF(p), 1, [1, 4, 2, 3], [1]))
     assert [r.value for r, _ in found] == [1, 2, 3, 4]
     assert calls == [4] and powerings == [4] and evaluations == []
     calls.clear()
     powerings.clear()
     # over GF(2), x^2 + x is evaluated at 0 and 1 (2 <= d bitlen(2) at every degree d):
     # no powering at all
-    found = poly_roots_in_field(_poly(GF(2), [0, 1, 1]))
+    found = poly_roots(_poly(GF(2), [0, 1, 1]))
     assert [(r.value, m) for r, m in found] == [(0, 1), (1, 1)]
     assert calls == [2] and evaluations == [(2, 2)] and powerings == []
 

@@ -3,8 +3,8 @@
 ``dense_oracles.scalar_spectrum`` builds det(lambda I - A) as a ``Poly`` of
 Scalars, checks a hint by evaluating that ``Poly`` and searches its roots.
 ``system.compute_spectrum`` must agree with it exactly: the same eigenvalues
-in the same order, the same cosine vectors, norms and dagger diagonal with
-the same value types and printed forms, and the same exception type and
+in the same order, the same cosine vectors, norms, dagger diagonal and a*_r
+with the same value types and printed forms, and the same exception type and
 message; ``system.eigenvalues``, its first stage, must give the same
 eigenvalues or the same exception.  All of it over Q (fractional diagonals
 and products b_{i-1} c_i included) and over GF(2), GF(3), GF(101) and
@@ -19,13 +19,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lpkit.system
-from dense_oracles import scalar_spectrum
+from dense_oracles import char_poly, monic_polys, scalar_spectrum
 from lpkit.cosine import rescale_superdiagonal
 from lpkit.errors import DivisionByZero
-from lpkit.exactmath import GF, RATIONALS, Scalar, char_poly_oracle
+from lpkit.exactmath import GF, RATIONALS, Poly, Scalar, char_poly_oracle
 from lpkit.instances import affine_transform, gen_krawtchouk, gen_random, parse_instance
-from lpkit.system import (TridiagonalSystem, char_poly, compute_spectrum, eigenvalues, monic_polys,
-                          realize_matrices)
+from lpkit.system import TridiagonalSystem, char_form, compute_spectrum, eigenvalues, realize_matrices
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 _FIELDS = [RATIONALS, GF(2), GF(3), GF(101), GF(2**61 - 1)]
@@ -33,6 +32,8 @@ _BIG = 10**30
 # eigenvalues 2^i + 1/3 mapped by 2a/3 + 1/5, and (9 - 2i)/3 for i = 0..6: denominators 1 and 3
 _LEONARD = parse_instance((DATA / "leonard_q2_affine.lp").read_text(encoding="utf-8")).system
 _THIRD = parse_instance((DATA / "k6_third.lp").read_text(encoding="utf-8")).system
+# its spectrum in an order that is not the canonical one; L = 9 (see char_form)
+_THIRD_HINT = [3, Fraction(7, 3), Fraction(5, 3), 1, Fraction(1, 3), Fraction(-1, 3), -1]
 
 
 def _values(field):
@@ -58,7 +59,7 @@ def _outcome(fn, *args):
 
 def _printed(spec):
     """Every Scalar of a spectrum, as (value type, printed form), in order."""
-    scalars = [*spec.theta, *(x for v in spec.v for x in v), *spec.norm, *spec.k]
+    scalars = [*spec.theta, *(x for v in spec.v for x in v), *spec.norm, *spec.k, *spec.astar]
     return [(type(x.value), str(x)) for x in scalars]
 
 
@@ -147,6 +148,12 @@ def _hinted(draw):
 @example((_THIRD, [Fraction(1, 3)] * 7))
 @example((_THIRD, [0, 1, 2, 3, 4, 5]))
 @example((_THIRD, [3, 1, -1, Fraction(7, 3), Fraction(5, 3), Fraction(1, 3), Fraction(-2, 3)]))
+@example((_THIRD, _THIRD_HINT))
+# L theta not an integer (1/2, and a 300-digit denominator), or an integer but no root of q (1/9),
+# each before the later non-eigenvalue 2
+@example((_THIRD, _THIRD_HINT[:3] + [Fraction(1, 2)] + _THIRD_HINT[4:-1] + [2]))
+@example((_THIRD, _THIRD_HINT[:3] + [Fraction(1, 9)] + _THIRD_HINT[4:-1] + [2]))
+@example((_THIRD, _THIRD_HINT[:3] + [Fraction(1, 10**299 + 7)] + _THIRD_HINT[4:-1] + [2]))
 def test_spectrum_matches_the_scalar_reference(case):
     sys_, hint = case
     expected = _outcome(scalar_spectrum, sys_, hint)
@@ -163,6 +170,7 @@ def test_spectrum_matches_the_scalar_reference(case):
 @example(_THIRD)
 @example(_LEONARD)
 def test_char_poly_matches_the_recurrence_and_berkowitz(sys_):
+    # char_poly is the Poly view of char_form; monic_polys runs the recurrence on Scalars
     got = char_poly(sys_)
     assert got == monic_polys(sys_)[sys_.d + 1] == char_poly_oracle(realize_matrices(sys_)[0])
     assert [(type(c.value), str(c)) for c in got.coeffs] == [
@@ -171,9 +179,24 @@ def test_char_poly_matches_the_recurrence_and_berkowitz(sys_):
 
 def test_mixed_denominators_keep_the_canonical_order():
     # L theta is an integer for every eigenvalue; sorted that way, -1/3 would come before 1
+    assert char_form(_THIRD)[1] == 9
     spec = compute_spectrum(_THIRD)
     assert [str(t) for t in spec.theta] == ["-1", "-1/3", "1", "1/3", "3", "5/3", "7/3"]
     _assert_same(("value", spec), ("value", scalar_spectrum(_THIRD)))
+
+
+def test_a_hinted_eigenvalue_stage_builds_no_poly(monkeypatch):
+    m61 = gen_random(8, GF(2**61 - 1), 1)
+    cases = [(_THIRD, _THIRD_HINT)] + [(s, compute_spectrum(s).theta[::-1]) for s in (_LEONARD, m61)]
+
+    def refuse(*args):
+        raise AssertionError("a Poly was built or evaluated")
+
+    monkeypatch.setattr(Poly, "__init__", refuse)
+    monkeypatch.setattr(Poly, "__call__", refuse)
+    for sys_, hint in cases:
+        theta = tuple(sys_.field.scalar(t) for t in hint)
+        assert eigenvalues(sys_, hint) == theta and compute_spectrum(sys_, hint).theta == theta
 
 
 class _RootStageDone(Exception):
@@ -182,7 +205,8 @@ class _RootStageDone(Exception):
 
 def test_root_stage_builds_few_scalars(monkeypatch):
     # d = 32 over Q, unhinted; the stage ends where the dagger diagonal begins.  With the
-    # characteristic polynomial built as a Poly of Scalars it built 3,600 Scalars; now 100
+    # characteristic polynomial built as a Poly of Scalars it built 3,600 Scalars, with q
+    # wrapped in a Poly for the root search 100; now 66, one per root and one per eigenvalue
     sys_ = parse_instance((DATA / "k32_affine.lp").read_text(encoding="utf-8")).system
     built = []
     original = Scalar.__init__
@@ -202,4 +226,4 @@ def test_root_stage_builds_few_scalars(monkeypatch):
         pass
     else:
         raise AssertionError("the root stage must end at the dagger diagonal")
-    assert len(built) <= 4 * (sys_.d + 1)
+    assert len(built) <= 2 * (sys_.d + 1)

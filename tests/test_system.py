@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from dense_oracles import (add, dagger, identity, matrix, rank_one_idempotents, scale,
                            spectral_sum, trace)
-from lpkit.errors import HintInvalid, NotMultiplicityFree
+from lpkit.errors import HintInvalid, InternalInconsistency, NotMultiplicityFree
 from lpkit.exactmath import GF, RATIONALS, Matrix, rank
+from lpkit.instances import mutate_theta_star
 from lpkit.system import (TridiagonalSystem, compute_spectrum, dual_a, make_system,
                           realize_matrices, validate_system)
 
@@ -110,6 +111,15 @@ def test_dual_a():
 def test_dual_a_k3(k3):
     sys_, spec = k3
     assert dual_a(sys_, spec, 0).is_zero()
+
+
+def test_dual_a_refuses_a_spectrum_of_other_dual_eigenvalues(k3):
+    # a*_r is stored with the spectrum; a theta* mutant keeps A, not a*_r
+    sys_, spec = k3
+    mutant = mutate_theta_star(sys_, 2, 5)
+    assert compute_spectrum(mutant, theta_hint=spec.theta).astar != spec.astar
+    with pytest.raises(InternalInconsistency, match="computed for other dual eigenvalues"):
+        dual_a(mutant, spec, 0)
 
 
 def test_dagger_fixes_generators(k3):
