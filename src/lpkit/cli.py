@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 
 from .cosine import rebase_to_row_sum
 from .delta import build_delta
-from .errors import (CosineVanishes, LpkitError, NotAnEigenvalue, ParseError,
-                     PreconditionViolated, RouteUnavailable)
+from .errors import (CosineVanishes, InternalInconsistency, LpkitError, NotAnEigenvalue,
+                     ParseError, PreconditionViolated, RouteUnavailable)
 from .exactmath import GF, RATIONALS
 from .instances import Instance, gen_krawtchouk, gen_random, parse_instance, serialize_instance
 from .leaf import appendix_a, appendix_b, leaf_by_ratio, leaf_by_recurrence, leaf_by_subspace
@@ -189,10 +189,10 @@ def _cmd_verify_aw2(args) -> int:
     """Solve the recurrence witness and re-confirm the cubic identity with it.
 
     The identity's entries are the conditions that ``solve_witness`` has
-    just solved, so a witness found always passes ("identity fails" would
-    mean an internal error), and no witness from elsewhere is checked.
-    Only the eigenvalue stage runs before it, so hint and multiplicity
-    errors exit 2 as in ``check``, and no idempotent factor is built.
+    just solved, so a witness found always passes: a failure is an internal
+    error and exits 2.  No witness from elsewhere is checked.  Only the
+    eigenvalue stage runs before it, so hint and multiplicity errors exit 2
+    as in ``check``, and no idempotent factor is built.
     """
     inst = _read(args.file)
     eigenvalues(inst.system, inst.theta)
@@ -200,11 +200,12 @@ def _cmd_verify_aw2(args) -> int:
     if witness is None:
         print("denied: no recurrence witness exists")
         return 1
-    holds = verify_aw2(inst.system, witness)
+    if not verify_aw2(inst.system, witness):
+        raise InternalInconsistency("identity fails for the solved recurrence witness")
     for ln in _witness_lines(witness, args.machine):
         print(ln)
-    print("identity holds" if holds else "identity fails")
-    return 0 if holds else 1
+    print("identity holds")
+    return 0
 
 
 def _cmd_rebase(args) -> int:

@@ -129,9 +129,7 @@ class FieldSpec:
         if not _DECIMAL.fullmatch(text):
             # int() also takes underscores and non-ASCII digits
             raise NonDecimalScalar(f"bad scalar {text!r}: expected ASCII [+-]N or [+-]N/M")
-        if self.is_prime_field:
-            return self.scalar(num * pow(den % self.modulus, -1, self.modulus))
-        return Scalar(self, Fraction(num, den))
+        return self.quotient(num, den)
 
     def __str__(self):
         return "Q" if self.kind == "rationals" else f"GF({self.modulus})"

@@ -22,13 +22,9 @@ integers to ``exactmath.solve_rows``, and the recurrence check behind delta*
 is a zero test through ``FieldSpec.reduce``.  Each witness entry is one exact
 quotient.
 
-The witness depends on the system alone, so ``check --route both`` solves
-(ii) and (iii) once.  The direct route leaves the witness it solved for its
-printout, with the system object it belongs to, in a one-entry hand-off;
-the next theorem-route call takes the entry and empties it, and reads the
-witness only when it is asked about that same object.  Only the theorem
-route's verdict depends on the witness; the direct route prints it and
-decides from the graph alone.
+The witness depends on the system alone, and ``solve_witness`` keeps its
+last solve for the same system object, so ``check --route both`` solves
+(ii) and (iii) once; only the theorem route decides from the witness.
 """
 from __future__ import annotations
 
@@ -151,6 +147,13 @@ def verify_aw2(sys: TridiagonalSystem, witness: RecurrenceWitness) -> bool:
                for a, t in zip(sys.a, ts))
 
 
+# (system object, witness) of the last solve_witness call, read and written as one tuple;
+# a one-entry list, so that the module's own attributes never change.  Keying on the
+# object is correct only because TridiagonalSystem is frozen and holds tuples of
+# immutable Scalars: a mutable field would let a stored witness go stale.
+_last_solve = [(None, None)]
+
+
 def solve_witness(sys: TridiagonalSystem) -> Optional[RecurrenceWitness]:
     """One exact witness for conditions (ii) and (iii) jointly, if any exists.
 
@@ -158,9 +161,14 @@ def solve_witness(sys: TridiagonalSystem) -> Optional[RecurrenceWitness]:
     since the extended dual eigenvalues are affine in those parameters, the
     joint existence over (gamma, omega, eta*) reduces to one linear solve in
     the unknowns (gamma, omega, eta*, parameters).  No sampling is involved.
+    Asked about the system object it solved last, it returns that answer.
     """
-    sol2 = solve_condition_ii(sys.theta_star)
-    return None if sol2 is None else _joint_witness(sys, sol2)
+    last, witness = _last_solve[0]
+    if last is not sys:
+        sol2 = solve_condition_ii(sys.theta_star)
+        witness = None if sol2 is None else _joint_witness(sys, sol2)
+        _last_solve[0] = (sys, witness)
+    return witness
 
 
 def _joint_witness(sys: TridiagonalSystem, sol2) -> Optional[RecurrenceWitness]:
@@ -204,10 +212,6 @@ def _joint_witness(sys: TridiagonalSystem, sol2) -> Optional[RecurrenceWitness]:
     return RecurrenceWitness(beta, gstar, gamma, omega, eta_star, delta_star, ext)
 
 
-# (system, witness) that the direct route solved last, until the theorem route takes it
-_handoff = [(None, None)]
-
-
 def _has_ratio_leaf(sys: TridiagonalSystem, spec: Spectrum) -> bool:
     """Whether leaf_by_ratio confirms some ordered pair (r, s), r != s.
 
@@ -239,27 +243,20 @@ def is_q_polynomial(sys: TridiagonalSystem, spec: Spectrum,
     if route == "direct":
         order = path_order(build_delta(sys, spec))
         witness = solve_witness(sys) if order is not None and sys.d >= 3 else None
-        _handoff[0] = (sys, witness)
         return QPolyVerdict(order is not None, "direct",
                             witness=witness, leonard_order=order)
     if route != "theorem":
         raise ValueError(f"unknown route {route!r}")
     if sys.d < 3:
         raise RouteUnavailable("the theorem route requires d >= 3")
-    solved_sys, witness = _handoff[0]
-    _handoff[0] = (None, None)
     # (i) some leaf is recognized by the ratio method
     if not _has_ratio_leaf(sys, spec):
         return QPolyVerdict(False, "theorem", failed_condition="i")
-    if solved_sys is not sys or witness is None:  # else the witness shows (ii) and (iii)
-        # (ii) the dual-eigenvalue recurrence is solvable
-        sol2 = solve_condition_ii(sys.theta_star)
-        if sol2 is None:
-            return QPolyVerdict(False, "theorem", failed_condition="ii")
-        # (iii) jointly with (ii), the trace-scalar fit is solvable
-        witness = _joint_witness(sys, sol2)
-        if witness is None:
-            return QPolyVerdict(False, "theorem", failed_condition="iii")
+    # (ii) the dual-eigenvalue recurrence and (iii) jointly with it the trace-scalar fit
+    witness = solve_witness(sys)
+    if witness is None:
+        failed = "ii" if solve_condition_ii(sys.theta_star) is None else "iii"
+        return QPolyVerdict(False, "theorem", failed_condition=failed)
     # (iv) theta*_i != theta*_0 for i >= 1
     if any(sys.theta_star[i] == sys.theta_star[0] for i in range(1, sys.d + 1)):
         return QPolyVerdict(False, "theorem", failed_condition="iv")

@@ -4,7 +4,8 @@ These are the textbook constructions, independent of the cosine vectors and
 the dagger diagonal: Lagrange-product idempotents, adjacency from the dense
 products E_i Astar E_j, a*_r as the trace of E_r Astar, and the cubic
 operator identity as n x n products; and the theorem route with condition
-(i) decided by trying leaf_by_ratio on every ordered pair.  The tests compare
+(i) decided by trying leaf_by_ratio on every ordered pair and (ii) and (iii)
+by the Scalar-row witness below.  The tests compare
 the production code against them exactly.  The dense E_i and the sum
 A = sum theta_i E_i built from the production factors, and the conjugation by
 K, let the tests check their algebra.  The small matrix helpers at the top
@@ -30,7 +31,7 @@ from lpkit.errors import (HintInvalid, InternalInconsistency, NotConstant, NotMu
                           ShapeMismatch)
 from lpkit.exactmath import Matrix, Poly, Scalar
 from lpkit.leaf import leaf_by_ratio
-from lpkit.qpoly import RecurrenceWitness, solve_condition_ii, solve_witness
+from lpkit.qpoly import RecurrenceWitness
 from lpkit.system import Spectrum, _dagger_diagonal, char_form, cosine_recurrence, realize_matrices
 from root_oracles import poly_roots
 
@@ -337,9 +338,9 @@ def pair_scan_theorem_route(sys_, spec):
     """(qpoly, failed_condition) of the theorem route, condition (i) by ratio_pair_scan."""
     if not ratio_pair_scan(sys_, spec):
         return False, "i"
-    if solve_condition_ii(sys_.theta_star) is None:
+    if scalar_solve_condition_ii(sys_.theta_star) is None:
         return False, "ii"
-    if solve_witness(sys_) is None:
+    if scalar_solve_witness(sys_) is None:
         return False, "iii"
     if any(t == sys_.theta_star[0] for t in sys_.theta_star[1:]):
         return False, "iv"

@@ -113,6 +113,17 @@ def test_verify_aw2(k3_file, capsys):
     assert "identity holds" in capsys.readouterr().out
 
 
+def test_verify_aw2_exits_2_when_the_solved_witness_fails_the_identity(monkeypatch, capsys):
+    # a solved witness satisfies the identity by construction, so a failure is an internal
+    # error and never exit 1 ("false")
+    import lpkit.cli
+
+    monkeypatch.setattr(lpkit.cli, "verify_aw2", lambda sys_, witness: False)
+    assert main(["verify-aw2", str(DATA / "k4_affine.lp")]) == 2
+    out, err = capsys.readouterr()
+    assert "identity fails" not in out and err.startswith("error: InternalInconsistency: ")
+
+
 def test_rebase(k3_file, tmp_path, capsys):
     out = tmp_path / "rebased.lp"
     assert main(["rebase", k3_file, "--theta", "1", "-o", str(out)]) == 0

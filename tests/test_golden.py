@@ -34,7 +34,8 @@ def test_verify_aw2_and_rebase_replay_without_the_idempotent_factors(capsys, mon
     monkeypatch.setattr(lpkit.system, "_dagger_diagonal", _no_factors)
     monkeypatch.chdir(DATA)
     calls = [c for c in TRANSCRIPT if c["argv"][0] in ("verify-aw2", "rebase")]
-    assert [c["argv"][0] for c in calls].count("verify-aw2") == 9 and len(calls) == 17
+    # counted from the transcript, so appended entries need no edit here; never fewer than 9 and 17
+    assert [c["argv"][0] for c in calls].count("verify-aw2") >= 9 and len(calls) >= 17
     for call in calls:
         code = main(call["argv"])
         assert (code, *capsys.readouterr()) == (call["exit"], call["stdout"], call["stderr"])

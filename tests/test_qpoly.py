@@ -1,6 +1,7 @@
 """Both Q-polynomiality routes, the recurrence witness, and the cubic identity."""
 from __future__ import annotations
 
+import dataclasses
 import pathlib
 
 import pytest
@@ -283,3 +284,55 @@ def test_a_handed_off_witness_is_read_only_for_its_own_system():
             assert (verdict.qpoly, verdict.failed_condition) == expected
             seen[verdict.failed_condition] += 1
     assert seen == {"ii": 10, "iv": 18, None: 2}
+
+
+def _counting_joint_witness(monkeypatch):
+    calls = []
+    original = lpkit.qpoly._joint_witness
+
+    def counting(sys_, sol2):
+        calls.append(sys_)
+        return original(sys_, sol2)
+
+    monkeypatch.setattr(lpkit.qpoly, "_joint_witness", counting)
+    return calls
+
+
+def test_solve_witness_reuses_its_last_solve_for_the_same_object(monkeypatch):
+    sys_, _ = gen_krawtchouk(5)
+    calls = _counting_joint_witness(monkeypatch)
+    first = solve_witness(sys_)
+    assert first is not None and solve_witness(sys_) is first and len(calls) == 1
+    # an equal system is another object and is solved again, to an equal witness
+    twin = dataclasses.replace(sys_)
+    assert twin == sys_ and twin is not sys_
+    assert solve_witness(twin) == first and len(calls) == 2
+
+
+def test_solve_witness_reuses_a_failed_condition_ii(monkeypatch):
+    sys_, _ = gen_krawtchouk(5)
+    mutant = mutate_theta_star(sys_, 2, sys_.theta_star[2] + sys_.field.one())
+    assert solve_condition_ii(mutant.theta_star) is None
+    calls = []
+    original = lpkit.qpoly.solve_condition_ii
+
+    def counting(theta_star):
+        calls.append(theta_star)
+        return original(theta_star)
+
+    monkeypatch.setattr(lpkit.qpoly, "solve_condition_ii", counting)
+    assert solve_witness(mutant) is None and solve_witness(mutant) is None and len(calls) == 1
+
+
+def test_the_theorem_route_solves_again_after_another_system(monkeypatch):
+    # direct(A), direct(B), theorem(A): B's solve replaces A's, so A is solved twice in all
+    a_sys, a_theta = gen_krawtchouk(5)
+    b_sys, b_theta = gen_krawtchouk(4)
+    a_spec = compute_spectrum(a_sys, theta_hint=a_theta)
+    b_spec = compute_spectrum(b_sys, theta_hint=b_theta)
+    calls = _counting_joint_witness(monkeypatch)
+    assert is_q_polynomial(a_sys, a_spec, route="direct").witness is not None
+    assert is_q_polynomial(b_sys, b_spec, route="direct").witness is not None
+    verdict = is_q_polynomial(a_sys, a_spec, route="theorem")
+    assert (verdict.qpoly, verdict.failed_condition) == pair_scan_theorem_route(a_sys, a_spec)
+    assert [c is a_sys for c in calls] == [True, False, True]

@@ -8,6 +8,7 @@ value types and printed forms, and the same exception type and message.
 """
 from __future__ import annotations
 
+import dataclasses
 import pathlib
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from dense_oracles import (scalar_delta_star, scalar_extend, scalar_solve_condition_ii,
                            scalar_solve_witness)
+from lpkit import qpoly
 from lpkit.errors import DivisionByZero
 from lpkit.exactmath import GF, RATIONALS, Scalar
 from lpkit.instances import affine_transform, gen_krawtchouk, gen_random, parse_instance
@@ -237,6 +239,7 @@ def test_witness_builds_few_scalars(monkeypatch):
     w = solve_witness(sys_)
     built = []
     original = Scalar.__init__
+    original_joint = qpoly._joint_witness
 
     def counting(self, field, value):
         built.append(value)
@@ -245,5 +248,9 @@ def test_witness_builds_few_scalars(monkeypatch):
     monkeypatch.setattr(Scalar, "__init__", counting)
     compute_delta_star(w.theta_star_ext, w.beta, w.gamma_star)
     delta_star_count = len(built)
-    solve_witness(sys_)
+    joint = []
+    monkeypatch.setattr(qpoly, "_joint_witness", lambda s, sol2: joint.append(s) or original_joint(s, sol2))
+    # an equal system but another object, so that solve_witness solves again
+    again = solve_witness(dataclasses.replace(sys_))
     assert delta_star_count <= 2 and len(built) - delta_star_count <= 40
+    assert len(joint) == 1 and again == w
