@@ -16,11 +16,11 @@ theta_s = a_0 + b_0 v_r[1] (theta*_1 - a*_r)/(theta*_0 - a*_r).
 So each r costs one a*_r, one lookup in a theta -> index dict and, when the
 lookup hits some s != r, one O(d) ratio check: O(d^2) in all.
 
-The witness of (ii) and (iii) runs on integer forms: theta*, a, beta and
-gamma* are cleared of denominators once, the rows of both conditions go as
-integers to ``exactmath.solve_rows``, and the recurrence check behind delta*
-is a zero test through ``FieldSpec.reduce``.  Each witness entry is one exact
-quotient.
+The witness of (ii) and (iii) runs on integer forms: theta* and a are
+cleared of denominators once, the rows of both conditions go together as
+integers in (gamma, omega, eta*, beta, gamma*) to one ``exactmath.solve_rows``
+call, and the recurrence check behind delta* is a zero test through
+``FieldSpec.reduce``.  Each witness entry is one exact quotient.
 
 The witness depends on the system alone, and ``solve_witness`` keeps its
 last solve for the same system object, so ``check --route both`` solves
@@ -157,56 +157,46 @@ _last_solve = [(None, None)]
 def solve_witness(sys: TridiagonalSystem) -> Optional[RecurrenceWitness]:
     """One exact witness for conditions (ii) and (iii) jointly, if any exists.
 
-    The affine solution set for (beta, gamma*) is parametrized symbolically;
-    since the extended dual eigenvalues are affine in those parameters, the
-    joint existence over (gamma, omega, eta*) reduces to one linear solve in
-    the unknowns (gamma, omega, eta*, parameters).  No sampling is involved.
+    Both conditions are linear in (gamma, omega, eta*, beta, gamma*), so
+    this is one linear solve (see _joint_witness); no sampling is involved.
     Asked about the system object it solved last, it returns that answer.
     """
     last, witness = _last_solve[0]
     if last is not sys:
-        sol2 = solve_condition_ii(sys.theta_star)
-        witness = None if sol2 is None else _joint_witness(sys, sol2)
+        witness = _joint_witness(sys)
         _last_solve[0] = (sys, witness)
     return witness
 
 
-def _joint_witness(sys: TridiagonalSystem, sol2) -> Optional[RecurrenceWitness]:
-    """solve_witness for a given solution set of condition (ii), as solve_condition_ii returns it.
+def _joint_witness(sys: TridiagonalSystem) -> Optional[RecurrenceWitness]:
+    """solve_witness without the cache: one elimination in (gamma, omega, eta*, beta, gamma*).
 
-    Row i is a_i (t*_i - t*_{i-1})(t*_i - t*_{i+1}) = gamma t*_i^2 + omega t*_i + eta*
-    on raw values, times den(theta*)^2 den(a) with theta* and a cleared once.
-    Only t*_{-1} and t*_{d+1} depend on the free parameters of (ii), affinely
-    (through d gamma* + d beta t*), so each free direction is one more unknown.
+    With theta* and a cleared once, the rows of (ii) are
+    t*_i beta + den gamma* = t*_{i-1} + t*_{i+1} for 1 <= i <= d-1, and row i of (iii) is
+    a_i (t*_i - t*_{i-1})(t*_i - t*_{i+1}) = gamma t*_i^2 + omega t*_i + eta* times
+    den(theta*)^2 den(a).  Only t*_{-1} and t*_{d+1} enter (iii), at i = 0 and i = d, and
+    each is affine in (beta, gamma*): there the edge a_i (t*_i - inner), inner the neighbour,
+    moves edge (t*_i beta + den gamma*) to the left.  Free unknowns come out 0, so the
+    column order fixes which witness a non-unique solution set gives.
     """
     field = sys.field
-    (beta0, gstar0), free = sol2
     d = sys.d
     t, den = field.cleared([x.value for x in sys.theta_star])
     a, a_den = field.cleared([x.value for x in sys.a])
-    g0, b0 = den * gstar0.value, beta0.value
-    ext0 = [g0 + b0 * t[0] - t[1]] + list(t) + [g0 + b0 * t[d] - t[d - 1]]  # den * theta*_{-1..d+1}
-    rows = []
+    rows = [[0, 0, 0, t[i], den, t[i - 1] + t[i + 1]] for i in range(1, d)]
     for i in range(d + 1):
         row = [t[i] * t[i] * a_den, t[i] * den * a_den, den * den * a_den]
-        for dbeta, dgstar in ((fv[0].value, fv[1].value) for fv in free):
-            coeff = 0  # the moves of t*_{-1} (row 0) and t*_{d+1} (row d), taken to the left
-            if i == 0:
-                coeff += a[0] * (t[0] - t[1]) * (den * dgstar + dbeta * t[0])
-            if i == d:
-                coeff += a[d] * (t[d] - t[d - 1]) * (den * dgstar + dbeta * t[d])
-            row.append(coeff)
-        row.append(a[i] * (t[i] - ext0[i]) * (t[i] - ext0[i + 2]))
-        rows.append(field.cleared(list(map(field.reduce, row)))[0])
-    joint = solve_rows(field, rows, 3 + len(free))
+        if 0 < i < d:
+            row += [0, 0, a[i] * (t[i] - t[i - 1]) * (t[i] - t[i + 1])]
+        else:
+            inner = t[1] if i == 0 else t[d - 1]
+            edge = a[i] * (t[i] - inner)
+            row += [edge * t[i], edge * den, edge * (t[i] + inner)]
+        rows.append(row)
+    joint = solve_rows(field, [list(map(field.reduce, row)) for row in rows], 5)
     if joint is None:
         return None
-    (gamma, omega, eta_star, *params), _ = joint
-    beta = beta0
-    gstar = gstar0
-    for t_val, fv in zip(params, free):
-        beta = beta + t_val * fv[0]
-        gstar = gstar + t_val * fv[1]
+    (gamma, omega, eta_star, beta, gstar), _ = joint
     ext = extend_dual_eigenvalues(sys.theta_star, beta, gstar)
     delta_star = compute_delta_star(ext, beta, gstar)
     return RecurrenceWitness(beta, gstar, gamma, omega, eta_star, delta_star, ext)

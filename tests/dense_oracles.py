@@ -436,6 +436,9 @@ def scalar_joint_witness(sys_, sol2):
 
 
 def scalar_solve_witness(sys_):
-    """solve_witness from the Scalar rows: condition (ii), then the joint solve with (iii)."""
+    """solve_witness from the Scalar rows in two stages: condition (ii), then the joint solve with (iii).
+
+    Production solves both conditions in one elimination, so this stays an independent reference.
+    """
     sol2 = scalar_solve_condition_ii(sys_.theta_star)
     return None if sol2 is None else scalar_joint_witness(sys_, sol2)

@@ -250,9 +250,9 @@ def test_check_both_solves_the_witness_once(monkeypatch, capsys):
     calls = []
     original = lpkit.qpoly._joint_witness
 
-    def counting(sys_, sol2):
+    def counting(sys_):
         calls.append(sys_)
-        return original(sys_, sol2)
+        return original(sys_)
 
     monkeypatch.setattr(lpkit.qpoly, "_joint_witness", counting)
     assert main(["check", path, "--route", "both", "--machine"]) == 0
@@ -290,9 +290,9 @@ def _counting_joint_witness(monkeypatch):
     calls = []
     original = lpkit.qpoly._joint_witness
 
-    def counting(sys_, sol2):
+    def counting(sys_):
         calls.append(sys_)
-        return original(sys_, sol2)
+        return original(sys_)
 
     monkeypatch.setattr(lpkit.qpoly, "_joint_witness", counting)
     return calls
@@ -313,15 +313,25 @@ def test_solve_witness_reuses_a_failed_condition_ii(monkeypatch):
     sys_, _ = gen_krawtchouk(5)
     mutant = mutate_theta_star(sys_, 2, sys_.theta_star[2] + sys_.field.one())
     assert solve_condition_ii(mutant.theta_star) is None
-    calls = []
-    original = lpkit.qpoly.solve_condition_ii
-
-    def counting(theta_star):
-        calls.append(theta_star)
-        return original(theta_star)
-
-    monkeypatch.setattr(lpkit.qpoly, "solve_condition_ii", counting)
+    calls = _counting_joint_witness(monkeypatch)
     assert solve_witness(mutant) is None and solve_witness(mutant) is None and len(calls) == 1
+
+
+def test_solve_witness_is_one_elimination_in_five_unknowns(monkeypatch):
+    # (ii) and (iii) together: d - 1 + d + 1 rows in (gamma, omega, eta*, beta, gamma*), on a
+    # positive pair and on a mutant that fails (ii)
+    sys_, _ = gen_krawtchouk(5)
+    mutant = mutate_theta_star(sys_, 2, sys_.theta_star[2] + sys_.field.one())
+    calls = []
+    original = lpkit.qpoly.solve_rows
+
+    def counting(field, rows, n):
+        calls.append((len(rows), n))
+        return original(field, rows, n)
+
+    monkeypatch.setattr(lpkit.qpoly, "solve_rows", counting)
+    assert solve_witness(sys_) is not None and calls == [(10, 5)]
+    assert solve_witness(mutant) is None and calls == [(10, 5)] * 2
 
 
 def test_the_theorem_route_solves_again_after_another_system(monkeypatch):

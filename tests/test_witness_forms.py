@@ -119,6 +119,14 @@ def _systems(draw):
 # theta*_0 = theta*_2: the free direction of (ii) is a pivot of the joint solve
 @example(TridiagonalSystem(2, tuple(map(RATIONALS.scalar, (1, 2, 3))), (RATIONALS.one(),) * 2,
                            (RATIONALS.one(),) * 2, tuple(map(RATIONALS.scalar, (1, 2, 1))), RATIONALS))
+# d = 1: no rows of (ii), so beta and gamma* are both free and come out 0
+@example(TridiagonalSystem(1, tuple(map(GF(101).scalar, (48, 98))), (GF(101).scalar(6),),
+                           (GF(101).scalar(76),), tuple(map(GF(101).scalar, (33, 65))), GF(101)))
+# theta*_1 = 0: the one row of (ii) leaves beta free
+@example(TridiagonalSystem(2, tuple(map(RATIONALS.scalar, (1, 2, 3))), (RATIONALS.one(),) * 2,
+                           (RATIONALS.one(),) * 2, tuple(map(RATIONALS.scalar, (1, 0, 2))), RATIONALS))
+# flat interior theta* = (5, 1, 1, 5): (ii) has a free direction at d = 3
+@example(parse_instance((DATA / "k3_flat_theta_star.lp").read_text(encoding="utf-8")).system)
 def test_witness_matches_the_scalar_rows(sys_):
     _assert_same(_outcome(solve_condition_ii, sys_.theta_star),
                  _outcome(scalar_solve_condition_ii, sys_.theta_star))
@@ -249,7 +257,7 @@ def test_witness_builds_few_scalars(monkeypatch):
     compute_delta_star(w.theta_star_ext, w.beta, w.gamma_star)
     delta_star_count = len(built)
     joint = []
-    monkeypatch.setattr(qpoly, "_joint_witness", lambda s, sol2: joint.append(s) or original_joint(s, sol2))
+    monkeypatch.setattr(qpoly, "_joint_witness", lambda s: joint.append(s) or original_joint(s))
     # an equal system but another object, so that solve_witness solves again
     again = solve_witness(dataclasses.replace(sys_))
     assert delta_star_count <= 2 and len(built) - delta_star_count <= 40
