@@ -104,7 +104,7 @@ def _multiplicity_free(sys: TridiagonalSystem) -> bool:
     splits exactly when x^p = x mod f; this avoids a root search.
     """
     p = sys.field.modulus
-    return linear_powmod(0, p, char_form(sys)[0], p) == [0, 1]
+    return linear_powmod(0, p, char_form(sys), p) == [0, 1]
 
 
 def _distinct_residues(rng: random.Random, p: int, count: int) -> list[int]:

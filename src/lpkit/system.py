@@ -6,16 +6,12 @@ theta*_i that make the companion operator Astar = diag(theta*_0..theta*_d).
 This module computes spectra as the factors of their rank-one spectral
 projectors, and the trace scalars a*_r.
 
-The characteristic polynomial is built once as an integer form: a and the
-products w_i = b_{i-1} c_i are cleared over one denominator L, and the monic
-recurrence runs on plain integers, so that det(lambda I - A) = q(L lambda)/L^(d+1)
-with q monic.  Over GF(p), L = 1 and q is the residue list itself.
-
-The eigenvalue stage is a function of its own, ``eigenvalues``, on (q, L)
-alone: a hinted theta is checked as an integer root L theta of q by Horner's
-rule; without a hint, the roots of q are searched and divided by L.  Callers
-that need only the eigenvalues (``lpkit verify-aw2`` and ``lpkit rebase``)
-stop there; ``compute_spectrum`` calls it and goes on to the factors below.
+The characteristic polynomial is built once as one integer list P, whose
+roots are exactly the eigenvalues.  The eigenvalue stage, ``eigenvalues``,
+reads P alone: a hinted theta is checked as a root of P, and without a hint
+the roots of P are the eigenvalues.  Callers that need only the eigenvalues
+(``lpkit verify-aw2`` and ``lpkit rebase``) stop there; ``compute_spectrum``
+calls it and goes on to the factors below.
 
 Each primitive idempotent has rank one: E_i = v_i (K v_i)^T / n_i, where v_i
 is the cosine vector of theta_i (a right eigenvector), K is the diagonal
@@ -27,6 +23,7 @@ everything downstream reads them instead of dense matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import HintInvalid, IndexOutOfRange, InternalInconsistency, NotMultiplicityFree
@@ -143,24 +140,29 @@ def realize_matrices(sys: TridiagonalSystem) -> tuple[Matrix, Matrix]:
     return a_mat, astar
 
 
-def char_form(sys: TridiagonalSystem) -> tuple[list[int], int]:
-    """The integer form (q, L) of the characteristic polynomial: det(lambda I - A) = q(L lambda)/L^(d+1).
+def char_form(sys: TridiagonalSystem) -> list[int]:
+    """The characteristic polynomial of A as one integer list P, low degree first.
 
-    L is the common denominator of the a_i and w_i = b_{i-1} c_i, and q, low
-    degree first, comes from the monic recurrence
-    q_{i+1} = (x - L a_i) q_i - L^2 w_i q_{i-1} on integers, each coefficient
-    reduced through ``FieldSpec.reduce``.  Over GF(p), L = 1 and q holds the
-    residues of det(lambda I - A).  O(d^2).
+    Over Q, P is primitive with a positive leading coefficient, and its roots
+    are exactly the eigenvalues; over GF(p) it is the monic residue list.  The
+    continuant p_{k+1} = (x - a_k) p_k - w_k p_{k-1}, w_k = b_{k-1} c_k, runs
+    as p_k = Q_k / lc(Q_k) with Q_k primitive: each step clears a_k, w_k and
+    the two leading coefficients over their lcm, reduces through
+    ``FieldSpec.reduce`` and divides out the content.  Over GF(p) all of
+    these are 1, which leaves the residue recurrence.  O(d^2).
     """
     field = sys.field
-    products = [field.reduce(b.value * c.value) for b, c in zip(sys.b, sys.c)]
-    ints, scale = field.cleared([x.value for x in sys.a] + products)
-    diag, weights = ints[:sys.d + 1], [0] + [scale * w for w in ints[sys.d + 1:]]
-    prev, cur = [0], [1]
-    for a, w in zip(diag, weights):
-        prev, cur = cur, [field.reduce(x - a * y - w * z)
-                          for x, y, z in zip([0] + cur, cur + [0], prev + [0, 0])]
-    return cur, scale
+    weights = [0] + [field.reduce(b.value * c.value) for b, c in zip(sys.b, sys.c)]
+    prev, cur = [1], [1]  # Q_{-1} enters only times w_0 = 0, so any nonzero list will do
+    for a, w in zip(sys.a, weights):
+        den_a, den_w = a.value.denominator * cur[-1], w.denominator * prev[-1]
+        den = lcm(den_a, den_w)
+        hi, mid, lo = den // cur[-1], den // den_a * a.value.numerator, den // den_w * w.numerator
+        step = [field.reduce(hi * x - mid * y - lo * z)
+                for x, y, z in zip([0] + cur, cur + [0], prev + [0, 0])]
+        content = gcd(*step)
+        prev, cur = cur, [x // content for x in step]
+    return cur
 
 
 def cosine_recurrence(sys: TridiagonalSystem, theta: Scalar) -> tuple[tuple[Scalar, ...], Scalar]:
@@ -184,17 +186,18 @@ def eigenvalues(sys: TridiagonalSystem,
                 theta_hint: Optional[Sequence[Scalar]] = None) -> tuple[Scalar, ...]:
     """The eigenvalues of A: the hint verified and in hint order, or else found and sorted.
 
-    With a hint, each hinted theta must make L theta an integer root of q (q
-    is monic over the integers, so it has no other rational root), and the
-    hint order is kept; a hint of the wrong length, with duplicates or with
+    With a hint, each theta = n/m (m = 1 over GF(p)) must pass m | lc(P), the
+    rational root theorem on ``char_form``'s P, before any power of m is
+    formed, and then sum_k P_k n^k m^(deg-k) = 0 by homogeneous Horner; the
+    hint order is kept.  A hint of the wrong length, with duplicates or with
     a non-eigenvalue raises HintInvalid, checked in that order.  Without a
-    hint, roots are found in the ground field and sorted canonically.
-    Raises NotMultiplicityFree when A has fewer than d+1 distinct in-field
-    eigenvalues.
+    hint, the eigenvalues are the roots of P in the ground field, in
+    canonical order.  Raises NotMultiplicityFree when A has fewer than d+1
+    distinct in-field eigenvalues.
     """
     field = sys.field
     n = sys.d + 1
-    form, scale = char_form(sys)
+    form = char_form(sys)
     if theta_hint is not None:
         theta = tuple(field.scalar(t) for t in theta_hint)
         if len(theta) != n:
@@ -202,22 +205,19 @@ def eigenvalues(sys: TridiagonalSystem,
         if len(set(theta)) != n:
             raise HintInvalid("hint contains duplicates")
         for t in theta:
-            # over GF(p), L = 1 and an int value has denominator 1: r is the residue
-            r, rest = divmod(scale * t.value.numerator, t.value.denominator)
-            value = 0
-            for c in reversed(form):
-                value = field.reduce(value * r + c)
-            if rest or value:
+            num, den = t.value.numerator, t.value.denominator
+            value, power = form[-1] % den, 1
+            if not value:
+                for c in reversed(form):
+                    value, power = field.reduce(value * num + c * power), power * den
+            if value:
                 raise HintInvalid(f"{t} is not an eigenvalue")
         return theta
     roots = poly_roots_in_field(form, field)
     if len(roots) != n:
         raise NotMultiplicityFree(
             f"found {len(roots)} distinct in-field eigenvalues, need {n}")
-    # a root of q is L theta; L theta and theta do not sort alike once denominators differ.
-    # A value's numerator and denominator: a Fraction's over Q, (residue, 1) for an int over GF(p)
-    return tuple(sorted((field.quotient(r.value.numerator, r.value.denominator * scale)
-                         for r, _ in roots), key=Scalar.sort_key))
+    return tuple(r for r, _ in roots)
 
 
 def compute_spectrum(sys: TridiagonalSystem,

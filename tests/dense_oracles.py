@@ -20,11 +20,13 @@ with its characteristic polynomial built as a ``Poly`` of Scalars (the top
 of ``monic_polys``), the hint checked by evaluating that ``Poly``, the roots
 searched on it and a*_r filled in by ``scalar_dual_a``.  ``char_poly`` is
 the ``Poly`` view of ``system.char_form``'s integer form, for comparing it
-with those two and with the Berkowitz oracle.
+with those two and with the Berkowitz oracle; ``primitive_form`` writes a
+monic ``Poly`` the way ``char_form`` does.
 """
 from __future__ import annotations
 
 from dataclasses import replace
+from math import gcd, lcm
 from operator import mul
 
 from lpkit.errors import (HintInvalid, InternalInconsistency, NotConstant, NotMultiplicityFree,
@@ -151,11 +153,25 @@ def scalar_char_poly(sys_):
 
 
 def char_poly(sys_):
-    """The Poly view of char_form's (q, L): the coefficient of x^k is q_k / L^(d+1-k)."""
+    """The Poly view of char_form's P: the monic P / lc(P)."""
     field = sys_.field
-    form, scale = char_form(sys_)
-    top = len(form) - 1
-    return Poly(field, [field.quotient(c, scale ** (top - k)) for k, c in enumerate(form)])
+    form = char_form(sys_)
+    return Poly(field, [field.quotient(c, form[-1]) for c in form])
+
+
+def primitive_form(poly):
+    """A monic Poly written as char_form writes it.
+
+    Over Q, its primitive integer multiple with a positive leading
+    coefficient; over GF(p), its residue list.
+    """
+    values = [c.value for c in poly.coeffs]
+    if poly.field.is_prime_field:
+        return values
+    den = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    content = gcd(*ints)
+    return [x // content for x in ints]
 
 
 def scalar_spectrum(sys_, theta_hint=None):

@@ -1,25 +1,30 @@
-"""Timings of the root search and of four CLI calls at large d; prints one JSON object.
+"""Timings of the eigenvalue stage and of four CLI calls at large d; prints one JSON object.
 
     PYTHONPATH=src python tests/large_d.py [--repeat 3]
 
-Not a test: pytest collects only ``test_*.py``.  Two families, each timed in
-this process as the best of ``--repeat`` calls, in milliseconds:
+Not a test: pytest collects only ``test_*.py``.  Four families, each timed
+in this process as the best of ``--repeat`` calls, in milliseconds:
 
 - Q, d = 16, 32, 64, 128: the Krawtchouk pair of diameter d under
   a -> 3a + 7 (b and c times 3) and theta* -> -5 theta*/3 + 1/2, whose
-  eigenvalues are 3 theta + 7.  ``rational_roots`` runs on ``char_form``'s
-  q as Fractions.
+  eigenvalues are 3 theta + 7.
 - GF(2^61 - 1), d = 32, 64, 128: ``gen_random(d, GF(2^61 - 1), 1)``, its
   hint the eigenvalues that ``compute_spectrum`` finds.
-  ``prime_field_roots`` runs on ``char_form``'s q.
+- PA(5/2), d = 16, 24, 32, 40, and Racah, d = 32, 64: the Leonard systems
+  of ``parameter_arrays``, their hint the array's theta.  The diagonal of
+  PA(5/2) has many different denominators.  The rows stop at d = 40: the
+  squarefree test of the Q root search takes minutes on PA(5/2) from
+  d = 61 on.
 
-For both, ``check_both`` is ``cli.main(['check', FILE, '--route', 'both',
+For every row, ``eigenvalues_...`` is ``system.eigenvalues`` without a
+hint, and ``check_both`` is ``cli.main(['check', FILE, '--route', 'both',
 '--machine'])`` on the instance written without a theta hint;
 ``verify_aw2`` is ``verify-aw2 FILE --machine`` and ``rebase_search`` is
 ``rebase FILE --search -o OUT``, each on the file without the hint and, as
 ``..._hinted``, with it.  The exit code of every CLI call is reported
-under the same key as its time.  Only the public functions named here are
-used, so the script also times an older checkout put first on PYTHONPATH.
+under the same key as its time, and the script exits 1 if any of them is 2
+(an error).  Only the public functions named here are used, so the script
+also times an older checkout put first on PYTHONPATH.
 """
 from __future__ import annotations
 
@@ -34,10 +39,10 @@ import time
 from fractions import Fraction
 
 from lpkit.cli import main
-from lpkit.exactmath import GF
+from lpkit.exactmath import GF, RATIONALS
 from lpkit.instances import Instance, affine_transform, gen_krawtchouk, gen_random, serialize_instance
-from lpkit.modular import prime_field_roots, rational_roots
-from lpkit.system import char_form, compute_spectrum
+from lpkit.system import compute_spectrum, eigenvalues, make_system
+from parameter_arrays import FAMILIES, leonard_system
 
 M61 = 2**61 - 1
 
@@ -77,7 +82,8 @@ CALLS = {
 }
 
 
-def time_calls(ms: dict, exits: dict, tag: str, system, theta, tmp: str, repeat: int) -> None:
+def time_row(ms: dict, exits: dict, tag: str, system, theta, tmp: str, repeat: int) -> None:
+    ms[f"eigenvalues_{tag}"] = best_ms(lambda: eigenvalues(system), repeat)
     for name, argv in CALLS.items():
         hints = {"": None} if name == "check_both" else {"": None, "_hinted": theta}
         for suffix, hint in hints.items():
@@ -91,20 +97,24 @@ def series(repeat: int) -> dict:
         for d in (16, 32, 64, 128):
             krawtchouk, theta = gen_krawtchouk(d)
             image = affine_transform(krawtchouk, 3, 7, Fraction(-5, 3), Fraction(1, 2))
-            q = [Fraction(c) for c in char_form(image)[0]]
-            ms[f"rational_roots_Q_{d}"] = best_ms(lambda: rational_roots(q), repeat)
             hint = tuple(image.field.scalar(3 * t.value + 7) for t in theta)
-            time_calls(ms, exits, f"Q_{d}", image, hint, tmp, repeat)
+            time_row(ms, exits, f"Q_{d}", image, hint, tmp, repeat)
         for d in (32, 64, 128):
             system = gen_random(d, GF(M61), 1)
-            q = char_form(system)[0]
-            ms[f"prime_field_roots_M61_{d}"] = best_ms(lambda: prime_field_roots(q, M61), repeat)
-            time_calls(ms, exits, f"M61_{d}", system, compute_spectrum(system).theta, tmp, repeat)
+            time_row(ms, exits, f"M61_{d}", system, compute_spectrum(system).theta, tmp, repeat)
+        for name, degrees in (("pa52", (16, 24, 32, 40)), ("racah", (32, 64))):
+            for d in degrees:
+                theta, theta_star = FAMILIES[name](d)
+                system = make_system(RATIONALS, *leonard_system(theta, theta_star), theta_star)
+                hint = tuple(RATIONALS.scalar(t) for t in theta)
+                time_row(ms, exits, f"{name}_{d}", system, hint, tmp, repeat)
     return {"repeat": repeat, "ms": ms, "exit": exits}
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=3)
-    json.dump(series(parser.parse_args().repeat), sys.stdout, indent=1)
+    result = series(parser.parse_args().repeat)
+    json.dump(result, sys.stdout, indent=1)
     print()
+    sys.exit(1 if 2 in result["exit"].values() else 0)

@@ -186,9 +186,9 @@ def test_lift_stops_at_the_root_bound_not_at_the_constant_term(monkeypatch):
     # Q, d = 128 affine Krawtchouk image: q is monic with |q(0)| of 923 bits and B = 2^12 of
     # 13, so one squaring past the bound stays far below the old 2 |q(0)|
     image = affine_transform(gen_krawtchouk(128)[0], 3, 7, Fraction(-5, 3), Fraction(1, 2))
-    q, scale = char_form(image)
+    q = char_form(image)
     t = _fujiwara_bits(q)
-    assert scale == 1 and q[-1] == 1 and abs(q[0]).bit_length() == 923 and (2**t).bit_length() == 13
+    assert q[-1] == 1 and abs(q[0]).bit_length() == 923 and (2**t).bit_length() == 13
     searches, moduli = [], []
     _recording(monkeypatch, "_roots_mod_p", searches)
     _recording(monkeypatch, "_rational_reconstruction", moduli)

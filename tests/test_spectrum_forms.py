@@ -13,26 +13,31 @@ GF(2^61 - 1).
 from __future__ import annotations
 
 import pathlib
+import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lpkit.system
-from dense_oracles import char_poly, monic_polys, scalar_spectrum
+from dense_oracles import char_poly, monic_polys, primitive_form, scalar_spectrum
 from lpkit.cosine import rescale_superdiagonal
-from lpkit.errors import DivisionByZero
-from lpkit.exactmath import GF, RATIONALS, Poly, Scalar, char_poly_oracle
+from lpkit.errors import DivisionByZero, HintInvalid
+from lpkit.exactmath import GF, RATIONALS, FieldSpec, Poly, Scalar, char_poly_oracle
 from lpkit.instances import affine_transform, gen_krawtchouk, gen_random, parse_instance
 from lpkit.system import TridiagonalSystem, char_form, compute_spectrum, eigenvalues, realize_matrices
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 _FIELDS = [RATIONALS, GF(2), GF(3), GF(101), GF(2**61 - 1)]
 _BIG = 10**30
+# k6_third.lp and its hinted variants, by file stem
+_THIRDS = {path.stem: parse_instance(path.read_text(encoding="utf-8"))
+           for path in sorted(DATA.glob("k6_third*.lp"))}
 # eigenvalues 2^i + 1/3 mapped by 2a/3 + 1/5, and (9 - 2i)/3 for i = 0..6: denominators 1 and 3
 _LEONARD = parse_instance((DATA / "leonard_q2_affine.lp").read_text(encoding="utf-8")).system
-_THIRD = parse_instance((DATA / "k6_third.lp").read_text(encoding="utf-8")).system
-# its spectrum in an order that is not the canonical one; L = 9 (see char_form)
+_THIRD = _THIRDS["k6_third"].system
+# its spectrum in an order that is not the canonical one; lc(P) = 81 (see char_form)
 _THIRD_HINT = [3, Fraction(7, 3), Fraction(5, 3), 1, Fraction(1, 3), Fraction(-1, 3), -1]
 
 
@@ -149,8 +154,8 @@ def _hinted(draw):
 @example((_THIRD, [0, 1, 2, 3, 4, 5]))
 @example((_THIRD, [3, 1, -1, Fraction(7, 3), Fraction(5, 3), Fraction(1, 3), Fraction(-2, 3)]))
 @example((_THIRD, _THIRD_HINT))
-# L theta not an integer (1/2, and a 300-digit denominator), or an integer but no root of q (1/9),
-# each before the later non-eigenvalue 2
+# a denominator not dividing lc(P) = 81 (1/2, and a 300-digit one), or one dividing it but no
+# root of P (1/9), each before the later non-eigenvalue 2
 @example((_THIRD, _THIRD_HINT[:3] + [Fraction(1, 2)] + _THIRD_HINT[4:-1] + [2]))
 @example((_THIRD, _THIRD_HINT[:3] + [Fraction(1, 9)] + _THIRD_HINT[4:-1] + [2]))
 @example((_THIRD, _THIRD_HINT[:3] + [Fraction(1, 10**299 + 7)] + _THIRD_HINT[4:-1] + [2]))
@@ -177,9 +182,48 @@ def test_char_poly_matches_the_recurrence_and_berkowitz(sys_):
         (type(c.value), str(c)) for c in monic_polys(sys_)[sys_.d + 1].coeffs]
 
 
+@settings(max_examples=100, deadline=None)
+@given(_systems())
+@example(_THIRDS["k6_third"].system)
+@example(_THIRDS["k6_third_bigden"].system)
+@example(_THIRDS["k6_third_half"].system)
+@example(_THIRDS["k6_third_hinted"].system)
+@example(_THIRDS["k6_third_ninth"].system)
+@example(_LEONARD)
+@example(parse_instance((DATA / "pa52_d8.lp").read_text(encoding="utf-8")).system)
+def test_char_form_is_the_primitive_characteristic_polynomial(sys_):
+    # monic_polys runs the continuant on Scalars: over Q char_form is its primitive integer
+    # multiple with a positive leading coefficient, over GF(p) its residue list
+    assert char_form(sys_) == primitive_form(monic_polys(sys_)[-1])
+
+
+def test_a_hint_denominator_not_dividing_the_leading_coefficient_is_not_evaluated(monkeypatch):
+    # k6_third_bigden.lp hints 3, 7/3, 5/3 and then 1/(10^299 + 7), before the true 1 it
+    # replaces; lc(P) = 81, so that value fails the rational root theorem before P is
+    # evaluated at it, and no power of its denominator is formed
+    inst = _THIRDS["k6_third_bigden"]
+    form = char_form(inst.system)
+    reduced = []
+    original = FieldSpec.reduce
+
+    def recording(self, value):
+        reduced.append(value)
+        return original(self, value)
+
+    monkeypatch.setattr(lpkit.system, "char_form", lambda sys_: form)
+    monkeypatch.setattr(FieldSpec, "reduce", recording)
+    with pytest.raises(HintInvalid, match=re.escape(f"{inst.theta[3]} is not an eigenvalue")):
+        eigenvalues(inst.system, inst.theta)
+    assert len(reduced) == 3 * len(form) and max(abs(x).bit_length() for x in reduced) < 64
+
+
 def test_mixed_denominators_keep_the_canonical_order():
-    # L theta is an integer for every eigenvalue; sorted that way, -1/3 would come before 1
-    assert char_form(_THIRD)[1] == 9
+    # P = (x - 3)(3x - 7)(3x - 5)(x - 1)(3x - 1)(3x + 1)(x + 1): its roots are the eigenvalues
+    # themselves, so the root search's canonical order is the spectrum's
+    expected = [1]
+    for num, den in ((3, 1), (7, 3), (5, 3), (1, 1), (1, 3), (-1, 3), (-1, 1)):
+        expected = [den * x - num * y for x, y in zip([0] + expected, expected + [0])]
+    assert char_form(_THIRD) == expected and expected[-1] == 81
     spec = compute_spectrum(_THIRD)
     assert [str(t) for t in spec.theta] == ["-1", "-1/3", "1", "1/3", "3", "5/3", "7/3"]
     _assert_same(("value", spec), ("value", scalar_spectrum(_THIRD)))
