@@ -8,6 +8,7 @@ routes exits 2 — it signals an implementation bug, never a valid verdict.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import Optional, Sequence
@@ -106,6 +107,11 @@ def _cmd_check(args) -> int:
         print("error: direct and theorem routes disagree (implementation bug)",
               file=sys.stderr)
         return 2
+    # a positive direct verdict is printed with the witness, from the theorem route if it ran
+    first = verdicts[0]
+    if first.route == "direct" and first.qpoly and inst.system.d >= 3:
+        witness = verdicts[1].witness if len(verdicts) == 2 else solve_witness(inst.system)
+        verdicts[0] = dataclasses.replace(first, witness=witness)
     for v in verdicts:
         _report_check(v, args.machine)
     return 0 if verdicts[0].qpoly else 1

@@ -25,7 +25,7 @@ from typing import Optional
 from .errors import (CharacteristicTooSmall, GenerationFailed, IndexOutOfRange,
                      InternalInconsistency, NonDecimalScalar, ParseError, ZeroScale)
 from .exactmath import GF, RATIONALS, FieldSpec, Scalar
-from .modular import divmod_residues, linear_powmod, monic
+from .modular import divmod_residues, monic
 from .system import TridiagonalSystem, char_form, make_system, validate_system
 
 __all__ = [
@@ -97,16 +97,6 @@ def mutate_theta_star(sys: TridiagonalSystem, k: int, value) -> TridiagonalSyste
     return TridiagonalSystem(sys.d, sys.a, sys.b, sys.c, tuple(ts), sys.field)
 
 
-def _multiplicity_free(sys: TridiagonalSystem) -> bool:
-    """True when A, over GF(p), splits into d+1 distinct eigenvalues.
-
-    The characteristic polynomial f is squarefree by construction, so it
-    splits exactly when x^p = x mod f; this avoids a root search.
-    """
-    p = sys.field.modulus
-    return linear_powmod(0, p, char_form(sys), p) == [0, 1]
-
-
 def _distinct_residues(rng: random.Random, p: int, count: int) -> list[int]:
     out: list[int] = []
     while len(out) < count:
@@ -143,7 +133,8 @@ def gen_random(d: int, field: FieldSpec, seed: int) -> TridiagonalSystem:
 
     Samples d+1 distinct eigenvalues first and then recovers matching
     tridiagonal data, so multiplicity-freeness holds by construction rather
-    than by rejection.  Deterministic for a given seed; raises
+    than by rejection; a result whose characteristic polynomial is not the
+    sampled one is an internal error.  Deterministic for a given seed; raises
     GenerationFailed when _MAX_RETRIES draws all break down.
     """
     if d < 1:
@@ -170,8 +161,8 @@ def gen_random(d: int, field: FieldSpec, seed: int) -> TridiagonalSystem:
         violations = validate_system(sys)
         if violations:
             raise InternalInconsistency(f"construction must yield a valid system: {'; '.join(violations)}")
-        if not _multiplicity_free(sys):
-            raise InternalInconsistency("construction must yield a split spectrum")
+        if char_form(sys) != target:
+            raise InternalInconsistency("construction must rebuild the sampled characteristic polynomial")
         return sys
     raise GenerationFailed(f"no multiplicity-free instance in {_MAX_RETRIES} tries")
 

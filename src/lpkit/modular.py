@@ -14,7 +14,9 @@ w is its bit length plus 2, and a pass maps a slot bound X to
 as lists of Fractions and are cleared to integer lists once; their roots
 are found modulo the first prime, counting up from 2, that keeps the
 squarefree part squarefree and of full degree, then lifted until the
-modulus passes a root bound.  Nothing here knows about ``Scalar`` or
+modulus passes a root bound; the squarefree part is the polynomial itself,
+with no gcd over the integers, when one fixed prime (2^61 + 15, not a
+Mersenne prime) shows it squarefree.  Nothing here knows about ``Scalar`` or
 ``Poly``; the wrapper costs about 15x per GF(p) multiply-add, so
 ``exactmath`` converts once and calls these functions.
 """
@@ -30,7 +32,9 @@ __all__ = ["is_prime", "divmod_residues", "monic", "linear_powmod", "prime_field
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_CHECK_PRIME = 2**61 - 1  # rules out repeated factors over Q for _rational_candidates
+# rules out repeated factors over Q for _rational_candidates.  2 has order (q - 1)/2 mod this
+# prime, but 61 mod 2^61 - 1, where every theta_i = x + y 2^i + z 2^(-i) meets theta_(i+61)
+_CHECK_PRIME = 2**61 + 15
 
 
 def is_prime(n: int) -> bool:
@@ -477,8 +481,8 @@ def _rational_candidates(big: list[int]) -> list[Fraction]:
     among the candidates; the caller confirms each one by exact division.
     The primes skipped all divide lc(S) disc(S), so there are polynomially
     many in the size of S.  S is the polynomial itself, with no gcd over the
-    integers, when it is squarefree and of full degree mod 2^61 - 1, since
-    its discriminant is then nonzero.
+    integers, when it is squarefree and of full degree mod _CHECK_PRIME
+    (2^61 + 15), since its discriminant is then nonzero.
     """
     deriv = [k * c for k, c in enumerate(big)][1:]
     sq = big

@@ -22,9 +22,9 @@ integers in (gamma, omega, eta*, beta, gamma*) to one ``exactmath.solve_rows``
 call, and the recurrence check behind delta* is a zero test through
 ``FieldSpec.reduce``.  Each witness entry is one exact quotient.
 
-The witness depends on the system alone, and ``solve_witness`` keeps its
-last solve for the same system object, so ``check --route both`` solves
-(ii) and (iii) once; only the theorem route decides from the witness.
+The routes share inputs, never state: the direct route decides from the
+graph alone and only the theorem route solves the witness, which a caller
+printing it beside a direct verdict (``check``) passes along.
 """
 from __future__ import annotations
 
@@ -68,6 +68,8 @@ class RecurrenceWitness:
 
 @dataclass(frozen=True)
 class QPolyVerdict:
+    """A direct verdict carries the Leonard order of a path, never a witness (theorem only)."""
+
     qpoly: bool
     route: str  # "direct" | "theorem"
     witness: Optional[RecurrenceWitness] = None
@@ -147,31 +149,11 @@ def verify_aw2(sys: TridiagonalSystem, witness: RecurrenceWitness) -> bool:
                for a, t in zip(sys.a, ts))
 
 
-# (system object, witness) of the last solve_witness call, read and written as one tuple;
-# a one-entry list, so that the module's own attributes never change.  Keying on the
-# object is correct only because TridiagonalSystem is frozen and holds tuples of
-# immutable Scalars: a mutable field would let a stored witness go stale.
-_last_solve = [(None, None)]
-
-
 def solve_witness(sys: TridiagonalSystem) -> Optional[RecurrenceWitness]:
     """One exact witness for conditions (ii) and (iii) jointly, if any exists.
 
-    Both conditions are linear in (gamma, omega, eta*, beta, gamma*), so
-    this is one linear solve (see _joint_witness); no sampling is involved.
-    Asked about the system object it solved last, it returns that answer.
-    """
-    last, witness = _last_solve[0]
-    if last is not sys:
-        witness = _joint_witness(sys)
-        _last_solve[0] = (sys, witness)
-    return witness
-
-
-def _joint_witness(sys: TridiagonalSystem) -> Optional[RecurrenceWitness]:
-    """solve_witness without the cache: one elimination in (gamma, omega, eta*, beta, gamma*).
-
-    With theta* and a cleared once, the rows of (ii) are
+    Both are linear in (gamma, omega, eta*, beta, gamma*): one elimination,
+    no sampling.  With theta* and a cleared once, the rows of (ii) are
     t*_i beta + den gamma* = t*_{i-1} + t*_{i+1} for 1 <= i <= d-1, and row i of (iii) is
     a_i (t*_i - t*_{i-1})(t*_i - t*_{i+1}) = gamma t*_i^2 + omega t*_i + eta* times
     den(theta*)^2 den(a).  Only t*_{-1} and t*_{d+1} enter (iii), at i = 0 and i = d, and
@@ -226,15 +208,14 @@ def is_q_polynomial(sys: TridiagonalSystem, spec: Spectrum,
                     route: str = "direct") -> QPolyVerdict:
     """Decide Q-polynomiality by the requested route.
 
+    The direct route decides from the graph alone and solves no witness.
     The theorem route needs d >= 3 (for d <= 2 the recurrence condition is
     underdetermined and the characterization degenerates); RouteUnavailable
     is raised there and callers should fall back to the direct route.
     """
     if route == "direct":
         order = path_order(build_delta(sys, spec))
-        witness = solve_witness(sys) if order is not None and sys.d >= 3 else None
-        return QPolyVerdict(order is not None, "direct",
-                            witness=witness, leonard_order=order)
+        return QPolyVerdict(order is not None, "direct", leonard_order=order)
     if route != "theorem":
         raise ValueError(f"unknown route {route!r}")
     if sys.d < 3:

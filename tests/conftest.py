@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import pytest
 
-from lpkit import qpoly
 from lpkit.exactmath import GF, RATIONALS
 from lpkit.instances import gen_krawtchouk, gen_random
 from lpkit.system import compute_spectrum
@@ -49,11 +48,3 @@ def random_corpus():
 @pytest.fixture(scope="session")
 def full_corpus(krawtchouk_corpus, random_corpus):
     return krawtchouk_corpus + random_corpus
-
-
-@pytest.fixture(autouse=True)
-def fresh_witness_cache():
-    """Each test starts with solve_witness holding no last solve, whatever ran before it."""
-    qpoly._last_solve[0] = (None, None)
-    yield
-    qpoly._last_solve[0] = (None, None)

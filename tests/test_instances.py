@@ -15,7 +15,7 @@ from lpkit.exactmath import GF, RATIONALS
 from lpkit.instances import (Instance, affine_transform, gen_krawtchouk,
                              gen_random, mutate_theta_star, parse_instance,
                              serialize_instance)
-from lpkit.qpoly import is_q_polynomial
+from lpkit.qpoly import is_q_polynomial, solve_witness
 from lpkit.system import TridiagonalSystem, compute_spectrum, validate_system
 
 GF101 = GF(101)
@@ -41,12 +41,12 @@ def test_gen_krawtchouk_characteristic_policy():
 
 def test_krawtchouk_is_q_polynomial(krawtchouk_corpus):
     for sys_, spec in krawtchouk_corpus:
-        v = is_q_polynomial(sys_, spec, route="direct")
-        assert v.qpoly
+        assert is_q_polynomial(sys_, spec, route="direct").qpoly
         if sys_.d >= 3:
-            assert v.witness.beta.value == 2
-            assert v.witness.gamma_star.is_zero()
-            assert v.witness.gamma.is_zero()
+            w = solve_witness(sys_)
+            assert w.beta.value == 2
+            assert w.gamma_star.is_zero()
+            assert w.gamma.is_zero()
 
 
 def test_affine_transform_examples(k3):
@@ -106,6 +106,20 @@ def test_gen_random_invalid_construction_is_an_internal_error(monkeypatch):
     # b is drawn nonzero and c = w/b with no w_i zero, so only a bug can break validity
     monkeypatch.setattr(instances, "validate_system", lambda sys_: ["superdiagonal zero at 0"])
     with pytest.raises(InternalInconsistency, match="superdiagonal zero at 0"):
+        gen_random(4, GF101, 0)
+
+
+def test_gen_random_rejects_a_construction_off_its_sampled_polynomial(monkeypatch):
+    # one diagonal entry moved: the system is still valid, but its characteristic polynomial
+    # is no longer the product of the sampled x - t
+    original = instances._tridiagonal_from_charpoly
+
+    def perturbed(target, rng, p):
+        a, w = original(target, rng, p)
+        return [(a[0] + 1) % p, *a[1:]], w
+
+    monkeypatch.setattr(instances, "_tridiagonal_from_charpoly", perturbed)
+    with pytest.raises(InternalInconsistency, match="sampled characteristic polynomial"):
         gen_random(4, GF101, 0)
 
 

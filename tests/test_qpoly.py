@@ -1,7 +1,6 @@
 """Both Q-polynomiality routes, the recurrence witness, and the cubic identity."""
 from __future__ import annotations
 
-import dataclasses
 import pathlib
 
 import pytest
@@ -129,7 +128,7 @@ def test_gamma_recurrence_along_path(krawtchouk_corpus):
         v = is_q_polynomial(sys_, spec, route="direct")
         assert v.qpoly
         order = v.leonard_order
-        w = v.witness
+        w = solve_witness(sys_)
         theta = [spec.theta[k] for k in order]
         for i in range(1, sys_.d):
             assert theta[i - 1] - w.beta * theta[i] + theta[i + 1] == w.gamma
@@ -147,7 +146,7 @@ def test_eigenvalue_ratio_constant(krawtchouk_corpus):
         order = v.leonard_order
         theta = [spec.theta[k] for k in order]
         ts = list(sys_.theta_star)
-        expected = v.witness.beta + sys_.field.one()
+        expected = solve_witness(sys_).beta + sys_.field.one()
         for i in range(2, sys_.d - 1):
             assert (theta[i - 2] - theta[i + 1]) / (theta[i - 1] - theta[i]) == expected
             assert (ts[i - 2] - ts[i + 1]) / (ts[i - 1] - ts[i]) == expected
@@ -243,18 +242,25 @@ def test_theorem_route_condition_i_is_linear_in_dual_a_calls(monkeypatch):
     assert 0 < len(calls) <= 2 * (sys_.d + 1)
 
 
-def test_check_both_solves_the_witness_once(monkeypatch, capsys):
-    # a positive d = 4 pair: the direct route solves (ii) and (iii) for its printout and the
-    # theorem route reads that witness; either route alone still solves and prints it
-    path = str(DATA / "k4_affine.lp")
+def _counting_witness_eliminations(monkeypatch):
+    """Records the row count of every qpoly.solve_rows call in five unknowns, the witness's."""
     calls = []
-    original = lpkit.qpoly._joint_witness
+    original = lpkit.qpoly.solve_rows
 
-    def counting(sys_):
-        calls.append(sys_)
-        return original(sys_)
+    def counting(field, rows, n):
+        if n == 5:
+            calls.append(len(rows))
+        return original(field, rows, n)
 
-    monkeypatch.setattr(lpkit.qpoly, "_joint_witness", counting)
+    monkeypatch.setattr(lpkit.qpoly, "solve_rows", counting)
+    return calls
+
+
+def test_check_both_solves_the_witness_once(monkeypatch, capsys):
+    # a positive d = 4 pair: the theorem route solves (ii) and (iii) and check prints its witness
+    # beside the direct verdict; either route alone still solves and prints it once
+    path = str(DATA / "k4_affine.lp")
+    calls = _counting_witness_eliminations(monkeypatch)
     assert main(["check", path, "--route", "both", "--machine"]) == 0
     witness = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("witness ")]
     assert len(calls) == 1 and len(witness) == 2 and witness[0] == witness[1]
@@ -267,8 +273,8 @@ def test_check_both_solves_the_witness_once(monkeypatch, capsys):
 
 def test_a_handed_off_witness_is_read_only_for_its_own_system():
     # planted leaves keep the positive pair's A and hint order and pass (i); each is decided
-    # right after the direct route solved the positive pair's witness, which the theorem route
-    # must not read for a planted system: those that fail (ii) would pass with it
+    # right after the positive pair's witness was solved, which the theorem route must not
+    # read for a planted system: those that fail (ii) would pass with it
     sys_, theta = gen_krawtchouk(5)
     spec = compute_spectrum(sys_, theta_hint=theta)
     seen = Counter()
@@ -278,43 +284,13 @@ def test_a_handed_off_witness_is_read_only_for_its_own_system():
                 continue
             planted = _plant_leaf(sys_, spec, r, s)
             planted_spec = compute_spectrum(planted, theta_hint=theta)
-            assert is_q_polynomial(sys_, spec, route="direct").witness is not None
+            assert is_q_polynomial(sys_, spec, route="direct").qpoly
+            assert solve_witness(sys_) is not None
             verdict = is_q_polynomial(planted, planted_spec, route="theorem")
             expected = pair_scan_theorem_route(planted, planted_spec)
             assert (verdict.qpoly, verdict.failed_condition) == expected
             seen[verdict.failed_condition] += 1
     assert seen == {"ii": 10, "iv": 18, None: 2}
-
-
-def _counting_joint_witness(monkeypatch):
-    calls = []
-    original = lpkit.qpoly._joint_witness
-
-    def counting(sys_):
-        calls.append(sys_)
-        return original(sys_)
-
-    monkeypatch.setattr(lpkit.qpoly, "_joint_witness", counting)
-    return calls
-
-
-def test_solve_witness_reuses_its_last_solve_for_the_same_object(monkeypatch):
-    sys_, _ = gen_krawtchouk(5)
-    calls = _counting_joint_witness(monkeypatch)
-    first = solve_witness(sys_)
-    assert first is not None and solve_witness(sys_) is first and len(calls) == 1
-    # an equal system is another object and is solved again, to an equal witness
-    twin = dataclasses.replace(sys_)
-    assert twin == sys_ and twin is not sys_
-    assert solve_witness(twin) == first and len(calls) == 2
-
-
-def test_solve_witness_reuses_a_failed_condition_ii(monkeypatch):
-    sys_, _ = gen_krawtchouk(5)
-    mutant = mutate_theta_star(sys_, 2, sys_.theta_star[2] + sys_.field.one())
-    assert solve_condition_ii(mutant.theta_star) is None
-    calls = _counting_joint_witness(monkeypatch)
-    assert solve_witness(mutant) is None and solve_witness(mutant) is None and len(calls) == 1
 
 
 def test_solve_witness_is_one_elimination_in_five_unknowns(monkeypatch):
@@ -334,15 +310,13 @@ def test_solve_witness_is_one_elimination_in_five_unknowns(monkeypatch):
     assert solve_witness(mutant) is None and calls == [(10, 5)] * 2
 
 
-def test_the_theorem_route_solves_again_after_another_system(monkeypatch):
-    # direct(A), direct(B), theorem(A): B's solve replaces A's, so A is solved twice in all
-    a_sys, a_theta = gen_krawtchouk(5)
-    b_sys, b_theta = gen_krawtchouk(4)
-    a_spec = compute_spectrum(a_sys, theta_hint=a_theta)
-    b_spec = compute_spectrum(b_sys, theta_hint=b_theta)
-    calls = _counting_joint_witness(monkeypatch)
-    assert is_q_polynomial(a_sys, a_spec, route="direct").witness is not None
-    assert is_q_polynomial(b_sys, b_spec, route="direct").witness is not None
-    verdict = is_q_polynomial(a_sys, a_spec, route="theorem")
-    assert (verdict.qpoly, verdict.failed_condition) == pair_scan_theorem_route(a_sys, a_spec)
-    assert [c is a_sys for c in calls] == [True, False, True]
+def test_the_direct_route_runs_no_witness_elimination(monkeypatch):
+    # a positive d = 5 pair: the direct route decides from the graph alone; only the theorem
+    # route eliminates (ii) and (iii), each time it is asked
+    sys_, theta = gen_krawtchouk(5)
+    spec = compute_spectrum(sys_, theta_hint=theta)
+    calls = _counting_witness_eliminations(monkeypatch)
+    direct = is_q_polynomial(sys_, spec, route="direct")
+    assert direct.qpoly and direct.witness is None and calls == []
+    theorem = is_q_polynomial(sys_, spec, route="theorem")
+    assert theorem.qpoly and theorem.witness == solve_witness(sys_) and calls == [10, 10]

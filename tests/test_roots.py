@@ -18,7 +18,8 @@ from lpkit.exactmath import GF, RATIONALS, Poly
 from lpkit.instances import affine_transform, gen_krawtchouk, gen_random
 from lpkit.modular import (_quadratic_roots, _root_bound_bits, _slot_reducer, _sqrt_mod, is_prime,
                            linear_powmod, rational_roots)
-from lpkit.system import char_form, compute_spectrum
+from lpkit.system import char_form, compute_spectrum, eigenvalues, make_system
+from parameter_arrays import leonard_system, pa52
 from root_oracles import (divisor_roots, fraction_rational_roots, poly_roots, repeated_powmod,
                           scan_roots)
 
@@ -105,13 +106,18 @@ def test_rational_roots_match_the_divisor_search(poly):
     assert found == divisor_roots(poly)
 
 
-def test_roots_cover_zero_repeated_and_fractional_cases():
-    x3 = _product(RATIONALS, Fraction(2, 3), [0, 0, Fraction(-1, 2), Fraction(-1, 2), 7], [1, 0, 1])
+def test_roots_cover_zero_repeated_and_fractional_cases(monkeypatch):
+    # x3 has the repeated irreducible factor (x^2 + 1)^2 as well as double rational roots, so
+    # its squarefree part is a true gcd over the integers
+    x3 = _product(RATIONALS, Fraction(2, 3), [0, 0, Fraction(-1, 2), Fraction(-1, 2), 7], [1, 0, 2, 0, 1])
     gf2 = _product(GF(2), 1, [0, 1, 1], [1, 1, 1])  # x^2 + x + 1 is irreducible over GF(2)
     gf3 = _product(GF(3), 2, [2, 2, 0], [1, 0, 1])
+    gcds = []
+    _recording(monkeypatch, "_int_poly_gcd", gcds)
     with _wall_bound(5):
         found = [poly_roots(poly) for poly in (x3, gf2, gf3)]
     assert [(r.value, m) for r, m in found[0]] == [(Fraction(-1, 2), 2), (0, 2), (7, 1)]
+    assert len(gcds) == 1
     assert found[0] == divisor_roots(x3)
     assert [(r.value, m) for r, m in found[1]] == [(0, 1), (1, 2)]
     assert found[2] == scan_roots(gf3)
@@ -407,6 +413,19 @@ def test_gate_check_over_a_127_bit_prime(tmp_path, capsys):
     with _wall_bound(5):
         assert main(["check", str(path), "--machine"]) == 0
     assert "qpoly=true" in capsys.readouterr().out
+
+
+def test_pa52_eigenvalues_at_d61_need_no_integer_gcd(monkeypatch):
+    # theta_i = 2^i + 2^(-i)/3: 2 has order 61 mod 2^61 - 1, so theta_0 and theta_61 meet there;
+    # the characteristic polynomial is squarefree, and the check prime must show it
+    theta, theta_star = pa52(61)
+    system = make_system(RATIONALS, *leonard_system(theta, theta_star), theta_star)
+
+    def refuse(*args):
+        raise AssertionError("the squarefree check fell back to the integer gcd")
+
+    monkeypatch.setattr(lpkit.modular, "_int_poly_gcd", refuse)
+    assert sorted(t.value for t in eigenvalues(system)) == sorted(theta)
 
 
 def test_gate_spectrum_of_a_random_pair_over_gf_m61():
